@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .nkp import nkp, rearrange
-from .svd import svd, svds
+from .nkp import _split, nkp
+from .svd import _fix_phases, svd, svds
 from .tensor import as_tensor3, conj_transpose, dft3, idft3
 from .products import t_product
 
@@ -96,14 +96,6 @@ class TSvdFactors:
     V: np.ndarray
 
 
-def _split_dims(rows: int, cols: int, m2: int, n2: int) -> tuple[int, int]:
-    if m2 < 1 or n2 < 1 or rows % m2 != 0 or cols % n2 != 0:
-        raise DimensionError(
-            f"block shape {m2}x{n2} does not divide matrix shape {rows}x{cols}"
-        )
-    return rows // m2, cols // n2
-
-
 def _check_block_rank(R: Sequence[int], l: int, rmax: int) -> list[int]:
     R = [int(r) for r in R]
     if len(R) != l:
@@ -132,7 +124,7 @@ def mat_stp_svd(A, m2: int, n2: int) -> MatStpSvd:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:
         raise DimensionError("mat_stp_svd expects a matrix")
-    m1, n1 = _split_dims(A.shape[0], A.shape[1], m2, n2)
+    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
     factors = nkp(A, m2, n2)
     f = svd(factors.B)
     return MatStpSvd(U=f.U, sigma=f.sigma, C=factors.C, V=f.V, dims=(m1, m2, n1, n2))
@@ -143,7 +135,7 @@ def mat_stp_svd_trunc(A, m2: int, n2: int, r: int) -> MatStpSvd:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:
         raise DimensionError("mat_stp_svd_trunc expects a matrix")
-    m1, n1 = _split_dims(A.shape[0], A.shape[1], m2, n2)
+    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
     if not 1 <= r <= min(m1, n1):
         raise DimensionError(f"rank {r} out of range [1, {min(m1, n1)}]")
     factors = nkp(A, m2, n2)
@@ -155,7 +147,7 @@ def tensor_stp_svd(A, m2: int, n2: int, threads: int = 1) -> TensorStpSvd:
     """Full tensor decomposition: matrix decomposition of every DFT slice."""
     A = as_tensor3(A)
     m, n, l = A.shape
-    m1, n1 = _split_dims(m, n, m2, n2)
+    m1, n1 = _split(m, n, m2, n2)
     Ah = dft3(A)
     slices = _slice_map(lambda i: mat_stp_svd(Ah[:, :, i], m2, n2), l, threads)
     return TensorStpSvd(
@@ -169,7 +161,7 @@ def tensor_stp_svd_trunc(
     """Truncated tensor decomposition with per-slice block rank R."""
     A = as_tensor3(A)
     m, n, l = A.shape
-    m1, n1 = _split_dims(m, n, m2, n2)
+    m1, n1 = _split(m, n, m2, n2)
     R = _check_block_rank(R, l, min(m1, n1))
     Ah = dft3(A)
     slices = _slice_map(
@@ -178,22 +170,6 @@ def tensor_stp_svd_trunc(
     return TensorStpSvd(
         slices=slices, dims=(m1, m2, n1, n2, l), real_input=_is_real(A)
     )
-
-
-def _svd_full_phased(M: np.ndarray):
-    # Square unitary factors; phase convention applied to the paired leading
-    # columns only (trailing null-space columns do not affect U S V^H).
-    U, s, Vh = np.linalg.svd(M, full_matrices=True)
-    U = U.copy()
-    V = Vh.conj().T.copy()
-    for j in range(s.size):
-        i = int(np.argmax(np.abs(U[:, j])))
-        mod = abs(U[i, j])
-        if mod > 0.0:
-            ph = np.conj(U[i, j]) / mod
-            U[:, j] *= ph
-            V[:, j] *= ph
-    return U, s, V
 
 
 def t_svd(A, threads: int = 1) -> TSvdFactors:
@@ -207,7 +183,13 @@ def t_svd(A, threads: int = 1) -> TSvdFactors:
     Vh = np.empty((n2, n2, n3), dtype=np.complex128)
 
     def work(i: int):
-        return _svd_full_phased(Ah[:, :, i])
+        # Square unitary factors; the phase convention applies to the paired
+        # leading columns only (trailing null-space columns do not affect
+        # U S V^H).
+        U, s, W = np.linalg.svd(Ah[:, :, i], full_matrices=True)
+        V = W.conj().T
+        _fix_phases(U[:, : s.size], V[:, : s.size])
+        return U, s, V
 
     for i, (U, s, V) in enumerate(_slice_map(work, n3, threads)):
         Uh[:, :, i] = U
@@ -281,18 +263,18 @@ def reconstruct(F, drop_imag: bool = False):
 def error_bound_matrix(A, m2: int, n2: int, r: int) -> tuple[float, float, float]:
     """(e1, e2, e1 + e2) for the truncated matrix decomposition at rank r.
 
-    e1 is the root tail energy of the rearranged matrix's singular values
-    (an equality for the untruncated decomposition); e2 is the root energy
-    of the dropped blocks, sum_{j>r} ||sigma_j C||_F^2.  The actual error is
-    at most e1 + e2.
+    e1 is the NKP residual ||A - B ⊗ C||_F (the error of the untruncated
+    decomposition; in exact arithmetic the root tail energy of the
+    rearranged matrix's singular values); e2 is the root energy of the
+    dropped blocks, sum_{j>r} ||sigma_j C||_F^2.  The actual error is at
+    most e1 + e2.
     """
     A = np.asarray(A, dtype=np.complex128)
-    m1, n1 = _split_dims(A.shape[0], A.shape[1], m2, n2)
+    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
     if not 1 <= r <= min(m1, n1):
         raise DimensionError(f"rank {r} out of range [1, {min(m1, n1)}]")
-    sig_tilde = np.linalg.svd(rearrange(A, m2, n2), compute_uv=False)
-    e1 = float(np.linalg.norm(sig_tilde[1:]))
     factors = nkp(A, m2, n2)
+    e1 = factors.residual
     sig_b = np.linalg.svd(factors.B, compute_uv=False)
     e2 = float(np.linalg.norm(factors.C) * np.linalg.norm(sig_b[r:]))
     return e1, e2, e1 + e2
@@ -303,7 +285,7 @@ def error_bound_tensor(A, m2: int, n2: int, R: Sequence[int]) -> float:
     decomposition: the per-DFT-slice bounds summed, scaled by 1/sqrt(l)."""
     A = as_tensor3(A)
     m, n, l = A.shape
-    m1, n1 = _split_dims(m, n, m2, n2)
+    m1, n1 = _split(m, n, m2, n2)
     R = _check_block_rank(R, l, min(m1, n1))
     Ah = dft3(A)
     total = 0.0

@@ -3,7 +3,10 @@
 ``rearrange`` reshapes an (m1*m2) x (n1*n2) matrix into an
 (m1*n1) x (m2*n2) matrix whose rank-1 structure corresponds to exact
 Kronecker structure of the input; ``nkp`` takes its leading singular triplet
-to produce the Frobenius-optimal factor pair (B, C) with A ≈ B ⊗ C.
+to produce the Frobenius-optimal factor pair (B, C) with A ≈ B ⊗ C.  The
+triplet comes from the Lanczos solver :func:`~stpz.svd.leading_triplet`,
+with the dense :func:`~stpz.svd.svd` as the fallback when it does not
+converge.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .svd import svd
+from .svd import leading_triplet, svd
 
 __all__ = ["KronFactors", "rearrange", "nkp"]
 
@@ -22,8 +25,9 @@ __all__ = ["KronFactors", "rearrange", "nkp"]
 class KronFactors:
     """Optimal Kronecker pair: B is m1 x n1, C is m2 x n2.
 
-    ``residual`` is ||A - B ⊗ C||_F, equal to the root tail energy of the
-    rearranged matrix's singular values.
+    ``residual`` is ||A - B ⊗ C||_F, computed from the returned factors.  In
+    exact arithmetic it equals the root tail energy of the rearranged
+    matrix's singular values.
     """
 
     B: np.ndarray
@@ -46,12 +50,15 @@ def rearrange(A, m2: int, n2: int) -> np.ndarray:
     i.e. blocks are enumerated j-major.  The map is an isometry:
     ||rearrange(A)||_F == ||A||_F.
     """
+    src = A
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:
         raise DimensionError("rearrange expects a matrix")
     m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
-    quads = A.reshape(m1, m2, n1, n2)
-    return quads.transpose(2, 0, 3, 1).reshape(m1 * n1, m2 * n2).copy()
+    R = A.reshape(m1, m2, n1, n2).transpose(2, 0, 3, 1).reshape(m1 * n1, m2 * n2)
+    # The reshape copies unless the blocks already line up (for example a
+    # Fortran-ordered A with m1 = n1 = 1); the result never aliases src.
+    return R.copy() if np.may_share_memory(R, src) else R
 
 
 def nkp(A, m2: int, n2: int) -> KronFactors:
@@ -64,17 +71,18 @@ def nkp(A, m2: int, n2: int) -> KronFactors:
     A = np.asarray(A, dtype=np.complex128)
     m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
     R = rearrange(A, m2, n2)
-    if not R.any():
-        return KronFactors(
-            B=np.zeros((m1, n1), dtype=np.complex128),
-            C=np.zeros((m2, n2), dtype=np.complex128),
-            residual=0.0,
-        )
-    f = svd(R)
+    f = leading_triplet(R)
+    if f is None:
+        f = svd(R)
     s1 = np.sqrt(f.sigma[0])
     B = (s1 * f.U[:, 0]).reshape((m1, n1), order="F")
     # The rank-1 term of R is sigma_1 u1 v1^H while the Kronecker identity
     # rearrange(B ⊗ C) = vec(B) vec(C)^T uses a plain transpose, so C takes
     # the conjugated right vector (a no-op for real data).
     C = (s1 * np.conj(f.V[:, 0])).reshape((m2, n2), order="F")
-    return KronFactors(B=B, C=C, residual=float(np.linalg.norm(f.sigma[1:])))
+    # rearrange only permutes entries, so ||A - B ⊗ C||_F is the norm of
+    # R - vec(B) vec(C)^T; R is this call's own copy.  Taking the norm of the
+    # difference keeps the residual accurate near exact Kronecker structure,
+    # where sqrt(||A||^2 - s1^2) would cancel.
+    R -= np.outer(B.ravel(order="F"), C.ravel(order="F"))
+    return KronFactors(B=B, C=C, residual=float(np.linalg.norm(R)))

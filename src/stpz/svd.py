@@ -15,7 +15,11 @@ import numpy as np
 
 from .errors import DimensionError, NumericError
 
-__all__ = ["SvdResult", "svd", "svds"]
+__all__ = ["SvdResult", "leading_triplet", "svd", "svds"]
+
+# Step budget and relative stopping tolerance of leading_triplet.
+_GKL_STEPS = 24
+_GKL_TOL = 1e-12
 
 
 @dataclass
@@ -59,6 +63,72 @@ def svd(A) -> SvdResult:
     U = U.copy()
     _fix_phases(U, V)
     return SvdResult(U=U, sigma=s, V=V)
+
+
+def leading_triplet(A) -> SvdResult | None:
+    """Leading singular triplet of a matrix, or None when the Lanczos
+    process does not converge within its step budget.
+
+    Golub–Kahan–Lanczos bidiagonalization (Golub & Kahan 1965) with full
+    reorthogonalization, started from A w for a fixed pseudo-random w, so
+    the result is a deterministic function of A.  After k steps
+    A^H U_k = V_k L_k^H and A V_k = U_k L_k + beta u_{k+1} e_k^T with L_k
+    real lower bidiagonal, so the Ritz triplet (sigma, U_k p, V_k q) from
+    the leading SVD of L_k has residual ||A v - sigma u|| = |beta q_k|.
+    The process stops when that is at most ``_GKL_TOL * sigma``.  A
+    rank-deficient input (for example the rearrangement of an exact
+    Kronecker product, of rank 1) breaks down with beta = 0, which is such
+    a stop.  A zero input gives (0, e_1, e_1) as :func:`svd` does.  The
+    result has one column and follows :func:`svd`'s phase convention.
+    """
+    A = np.asarray(A, dtype=np.complex128)
+    if A.ndim != 2:
+        raise DimensionError("leading_triplet expects a matrix")
+    if not np.all(np.isfinite(A)):
+        raise NumericError("leading_triplet input contains NaN or Inf")
+    m, n = A.shape
+    steps = min(_GKL_STEPS, m, n)
+    # Basis vectors are rows, so each is contiguous.
+    Ub = np.empty((steps + 1, m), dtype=np.complex128)
+    Vb = np.empty((steps, n), dtype=np.complex128)
+    alpha = np.empty(steps)
+    beta = np.empty(steps + 1)
+    u = A @ np.random.default_rng(0).standard_normal(n)
+    beta[0] = np.linalg.norm(u)
+    if beta[0] == 0.0:
+        if A.any():
+            return None
+        U, V = np.zeros((m, 1), dtype=np.complex128), np.zeros((n, 1), dtype=np.complex128)
+        U[0, 0] = V[0, 0] = 1.0
+        return SvdResult(U=U, sigma=np.zeros(1), V=V)
+    Ub[0] = u / beta[0]
+    for k in range(steps):
+        # v_k = A^H u_k - beta_k v_{k-1}, computed as conj(u_k^H A)
+        v = np.conj(Ub[k].conj() @ A)
+        if k:
+            v -= beta[k] * Vb[k - 1]
+        v = _reorthogonalize(v, Vb[:k])
+        alpha[k] = np.linalg.norm(v)
+        Vb[k] = v / alpha[k]
+        u = A @ Vb[k] - alpha[k] * Ub[k]
+        u = _reorthogonalize(u, Ub[: k + 1])
+        beta[k + 1] = np.linalg.norm(u)
+        L = np.diag(alpha[: k + 1]) + np.diag(beta[1 : k + 1], -1)
+        P, s, Qh = np.linalg.svd(L)
+        if beta[k + 1] * abs(Qh[0, k]) <= _GKL_TOL * s[0]:
+            U = (P[:, 0] @ Ub[: k + 1])[:, None]
+            V = (Qh[0] @ Vb[: k + 1])[:, None]
+            _fix_phases(U, V)
+            return SvdResult(U=U, sigma=s[:1], V=V)
+        Ub[k + 1] = u / beta[k + 1]
+    return None
+
+
+def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    # Two classical Gram-Schmidt passes against orthonormal rows.
+    for _ in range(2):
+        x = x - (basis.conj() @ x) @ basis
+    return x
 
 
 def svds(A, r: int) -> SvdResult:

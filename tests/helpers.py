@@ -8,6 +8,14 @@ def cplx(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def with_spectrum(rng, m, n, sigma):
+    """m x n complex matrix with the given singular values and random
+    singular vectors."""
+    U, _ = np.linalg.qr(cplx(rng, m, len(sigma)))
+    V, _ = np.linalg.qr(cplx(rng, n, len(sigma)))
+    return (U * sigma) @ V.conj().T
+
+
 def rel_err(actual, expected) -> float:
     """Frobenius relative error of actual vs expected."""
     a = np.asarray(actual, dtype=np.complex128)

@@ -1,14 +1,45 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cplx, rel_err
+from helpers import cplx, rel_err, with_spectrum
 from stpz.errors import DimensionError
 from stpz.nkp import nkp, rearrange
+from stpz.svd import svd
+
+# The package re-exports the function stpz.nkp, so the module is looked up
+# by its full name.
+nkp_module = importlib.import_module("stpz.nkp")
+svd_module = importlib.import_module("stpz.svd")
 
 
 def vec(M):
     return np.asarray(M).flatten(order="F")
+
+
+def unrearrange(R, m1, n1, m2, n2):
+    """Inverse of rearrange: the matrix A with rearrange(A, m2, n2) == R."""
+    return R.reshape(n1, m1, n2, m2).transpose(1, 3, 0, 2).reshape(m1 * m2, n1 * n2)
+
+
+def dense_kron(A, m2, n2):
+    """sigma_1 u1 v1^H of the rearrangement from the dense svd: the
+    rearranged B ⊗ C of the reference path."""
+    f = svd(rearrange(A, m2, n2))
+    return f.sigma[0] * np.outer(f.U[:, 0], f.V[:, 0].conj()), np.linalg.norm(f.sigma[1:])
+
+
+class CountingSvd:
+    """Stand-in for nkp's ``svd`` name that counts the dense fallbacks."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, A):
+        self.calls += 1
+        return svd(A)
 
 
 class TestRearrange:
@@ -44,6 +75,24 @@ class TestRearrange:
     def test_divisibility_error(self):
         with pytest.raises(DimensionError):
             rearrange(np.zeros((6, 6)), 4, 2)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("blocks", [(3, 4), (3, 1), (1, 4), (1, 1)])
+    def test_never_aliases_input(self, order, blocks):
+        # Six of these eight cases make the reshape a view of A (every
+        # Fortran-ordered one, and m1 = n2 = 1 or m2 = n1 = 1 in C order);
+        # the result must still be a copy of its own.
+        m2, n2 = blocks
+        rng = np.random.default_rng(7)
+        A = np.array(cplx(rng, 3, 4), order=order)
+        R = rearrange(A, m2, n2)
+        assert not np.shares_memory(R, A)
+        assert np.array_equal(unrearrange(R, 3 // m2, 4 // n2, m2, n2), A)
+
+    def test_unrearrange_inverts(self):
+        rng = np.random.default_rng(8)
+        R = cplx(rng, 6, 8)
+        assert np.array_equal(rearrange(unrearrange(R, 2, 3, 2, 4), 2, 4), R)
 
     @given(
         m1=st.integers(1, 3),
@@ -109,3 +158,68 @@ class TestNkp:
     def test_divisibility_error(self):
         with pytest.raises(DimensionError):
             nkp(np.zeros((4, 4)), 3, 2)
+
+    @given(
+        m1=st.integers(1, 8),
+        m2=st.integers(1, 8),
+        n1=st.integers(1, 8),
+        n2=st.integers(1, 8),
+        spike=st.sampled_from([0.0, 1.0, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_matches_dense_path(self, m1, m2, n1, n2, spike, seed):
+        rng = np.random.default_rng(seed)
+        A = cplx(rng, m1 * m2, n1 * n2)
+        A = A + spike * np.kron(cplx(rng, m1, n1), cplx(rng, m2, n2))
+        f = nkp(A, m2, n2)
+        ref, tail = dense_kron(A, m2, n2)
+        s = np.linalg.svd(rearrange(A, m2, n2), compute_uv=False)
+        gap = 1.0 if s.size == 1 else (s[0] - s[1]) / s[0]
+        got = np.outer(vec(f.B), vec(f.C))
+        assert rel_err(got, ref) <= 1e-10 / max(gap, 1e-6)
+        assert f.residual == pytest.approx(tail, rel=1e-9, abs=1e-12 * np.linalg.norm(A))
+
+    def test_residual_is_direct_near_exact_structure(self):
+        # A tail far below ||A|| * sqrt(eps) vanishes in sqrt(||A||^2 - s1^2);
+        # the direct residual still resolves it.
+        rng = np.random.default_rng(9)
+        A = np.kron(cplx(rng, 4, 3), cplx(rng, 2, 5))
+        E = 1e-10 * cplx(rng, *A.shape)
+        f = nkp(A + E, 2, 5)
+        _, tail = dense_kron(A + E, 2, 5)
+        assert f.residual == pytest.approx(tail, rel=1e-4)
+        assert f.residual == pytest.approx(np.linalg.norm(A + E - np.kron(f.B, f.C)), rel=1e-9)
+
+    def test_bitwise_repeatable(self):
+        rng = np.random.default_rng(10)
+        A = cplx(rng, 32, 24)
+        f1, f2 = nkp(A, 4, 4), nkp(A.copy(), 4, 4)
+        assert np.array_equal(f1.B, f2.B)
+        assert np.array_equal(f1.C, f2.C)
+        assert f1.residual == f2.residual
+
+    def test_no_dense_svd_when_lanczos_converges(self, monkeypatch):
+        spy = CountingSvd()
+        monkeypatch.setattr(nkp_module, "svd", spy)
+        rng = np.random.default_rng(11)
+        nkp(np.kron(cplx(rng, 8, 8), cplx(rng, 8, 8)) + 0.01 * cplx(rng, 64, 64), 8, 8)
+        assert spy.calls == 0
+
+    def test_flat_spectrum_falls_back_to_dense(self, monkeypatch):
+        # A rearrangement with relative gaps of 0.2% outlasts the Lanczos
+        # budget; nkp then takes the triplet from its ``svd`` name.
+        spy = CountingSvd()
+        monkeypatch.setattr(nkp_module, "svd", spy)
+        rng = np.random.default_rng(12)
+        k = 8
+        assert k * k > svd_module._GKL_STEPS
+        R = with_spectrum(rng, k * k, k * k, np.linspace(1.0, 0.9, k * k))
+        A = unrearrange(R, k, k, k, k)
+        f = nkp(A, k, k)
+        assert spy.calls == 1
+        d = svd(R)
+        s1 = np.sqrt(d.sigma[0])
+        assert np.array_equal(f.B, (s1 * d.U[:, 0]).reshape((k, k), order="F"))
+        assert np.array_equal(f.C, (s1 * np.conj(d.V[:, 0])).reshape((k, k), order="F"))
+        assert f.residual == pytest.approx(np.linalg.norm(d.sigma[1:]), rel=1e-12)

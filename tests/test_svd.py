@@ -1,10 +1,17 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import cplx, jacobi_hermitian_eigvals, rel_err
+from helpers import cplx, jacobi_hermitian_eigvals, rel_err, with_spectrum
 from stpz.errors import DimensionError, NumericError
-from stpz.svd import svd, svds
+from stpz.svd import leading_triplet, svd, svds
+
+# The package re-exports the function stpz.svd, so the module is looked up
+# by its full name.
+svd_module = importlib.import_module("stpz.svd")
 
 
 def recon(f):
@@ -108,3 +115,102 @@ class TestSvds:
             svds(A, 0)
         with pytest.raises(DimensionError):
             svds(A, 4)
+
+
+SHAPES = st.sampled_from(["tall", "wide", "square", "row", "column"])
+
+
+class TestLeadingTriplet:
+    @given(
+        kind=SHAPES,
+        a=st.integers(2, 40),
+        b=st.integers(1, 40),
+        spike=st.sampled_from([0.0, 1.0, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_matches_dense(self, kind, a, b, spike, seed):
+        # Gaussian noise plus an optional dominant rank-1 term, on every
+        # shape class; the first triplet of svd is the reference.
+        m, n = {
+            "tall": (a + b, a),
+            "wide": (a, a + b),
+            "square": (a, a),
+            "row": (1, a),
+            "column": (a, 1),
+        }[kind]
+        rng = np.random.default_rng(seed)
+        A = cplx(rng, m, n) + spike * np.sqrt(m * n) * np.outer(cplx(rng, m), cplx(rng, n))
+        f = leading_triplet(A)
+        if f is None:
+            # Only a matrix larger than the step budget can exhaust it.
+            assert min(m, n) > svd_module._GKL_STEPS
+            return
+        d = svd(A)
+        assert f.U.shape == (m, 1) and f.V.shape == (n, 1) and f.sigma.shape == (1,)
+        assert f.sigma[0] == pytest.approx(d.sigma[0], rel=1e-12)
+        # The leading vectors are determined up to the phase rule, with a
+        # conditioning of 1 / relative gap.
+        gap = 1.0 if d.sigma.size == 1 else (d.sigma[0] - d.sigma[1]) / d.sigma[0]
+        tol = 1e-10 / max(gap, 1e-6)
+        assert np.linalg.norm(f.U[:, 0] - d.U[:, 0]) <= tol
+        assert np.linalg.norm(f.V[:, 0] - d.V[:, 0]) <= tol
+
+    def test_rank_one_breaks_down_at_step_one(self, monkeypatch):
+        monkeypatch.setattr(svd_module, "_GKL_STEPS", 1)
+        rng = np.random.default_rng(10)
+        x, y = cplx(rng, 7), cplx(rng, 5)
+        A = np.outer(x, y.conj())
+        f, d = leading_triplet(A), svd(A)
+        assert f is not None
+        assert f.sigma[0] == pytest.approx(np.linalg.norm(x) * np.linalg.norm(y), rel=1e-13)
+        assert_allclose(f.U[:, 0], d.U[:, 0], atol=1e-13)
+        assert_allclose(f.V[:, 0], d.V[:, 0], atol=1e-13)
+
+    def test_zero_input(self):
+        f, d = leading_triplet(np.zeros((4, 3))), svd(np.zeros((4, 3)))
+        assert f.sigma[0] == 0.0 == d.sigma[0]
+        assert np.array_equal(f.U[:, 0], d.U[:, 0])
+        assert np.array_equal(f.V[:, 0], d.V[:, 0])
+
+    def test_repeated_leading_value(self):
+        # sigma_1 = sigma_2: any unit vector of the leading pair's span is a
+        # valid u1, so the result is checked for optimality, not identity.
+        rng = np.random.default_rng(11)
+        A = with_spectrum(rng, 40, 30, [3.0, 3.0, 1.0, 0.5, 0.25])
+        f = leading_triplet(A)
+        u, v = f.U[:, 0], f.V[:, 0]
+        assert f.sigma[0] == pytest.approx(3.0, rel=1e-12)
+        assert np.linalg.norm(A @ v - f.sigma[0] * u) <= 1e-11
+        tail = np.linalg.norm(svd(A).sigma[1:])
+        assert np.linalg.norm(A - f.sigma[0] * np.outer(u, v.conj())) == pytest.approx(tail, rel=1e-12)
+
+    def test_flat_spectrum_exhausts_budget(self):
+        # Relative gaps of 0.2% need far more steps than the budget.
+        rng = np.random.default_rng(12)
+        n = 2 * svd_module._GKL_STEPS
+        A = with_spectrum(rng, n, n, np.linspace(1.0, 0.9, n))
+        assert leading_triplet(A) is None
+
+    def test_phase_convention(self):
+        rng = np.random.default_rng(13)
+        f = leading_triplet(cplx(rng, 9, 6))
+        i = int(np.argmax(np.abs(f.U[:, 0])))
+        assert f.U[i, 0].imag == pytest.approx(0.0, abs=1e-14)
+        assert f.U[i, 0].real > 0
+
+    def test_deterministic_bitwise(self):
+        rng = np.random.default_rng(14)
+        A = cplx(rng, 30, 20)
+        f1, f2 = leading_triplet(A), leading_triplet(A.copy())
+        assert np.array_equal(f1.U, f2.U)
+        assert np.array_equal(f1.sigma, f2.sigma)
+        assert np.array_equal(f1.V, f2.V)
+
+    def test_input_validation(self):
+        A = np.ones((3, 3))
+        A[1, 2] = np.inf
+        with pytest.raises(NumericError):
+            leading_triplet(A)
+        with pytest.raises(DimensionError):
+            leading_triplet(np.ones(3))
