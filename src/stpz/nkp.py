@@ -4,9 +4,13 @@
 (m1*n1) x (m2*n2) matrix whose rank-1 structure corresponds to exact
 Kronecker structure of the input; ``nkp`` takes its leading singular triplet
 to produce the Frobenius-optimal factor pair (B, C) with A ≈ B ⊗ C.  The
-triplet comes from the Lanczos solver :func:`~stpz.svd.leading_triplet`,
-with the dense :func:`~stpz.svd.svd` as the fallback when it does not
-converge.
+triplet comes from the Lanczos solver :func:`~stpz.svd.leading_triplet`.
+The dense :func:`~stpz.svd.svd` is used instead for small rearrangements,
+where it is faster, and as the fallback when Lanczos does not converge.
+Lanczos converges within its budget when the relative gap sigma_2/sigma_1
+of the rearrangement is below about 0.9; a flat leading spectrum, as in
+noise-dominated input, spends the budget and then pays for the dense SVD
+too.
 """
 
 from __future__ import annotations
@@ -19,6 +23,13 @@ from .errors import DimensionError
 from .svd import leading_triplet, svd
 
 __all__ = ["KronFactors", "rearrange", "nkp"]
+
+# Dense-SVD work m * n * min(m, n) of an m x n rearrangement up to which the
+# dense SVD is used directly: below it, the per-step cost of the Lanczos
+# solver exceeds the whole dense SVD.  Measured on 2 vCPU with OpenBLAS,
+# median of 41 calls on textured image slices: 256 x 16 takes 0.65 ms dense
+# against 1.0 ms Lanczos, 36 x 64 takes 1.0 ms dense against 0.7 ms.
+_DENSE_WORK = 1 << 16
 
 
 @dataclass
@@ -66,12 +77,15 @@ def nkp(A, m2: int, n2: int) -> KronFactors:
 
     vec(B) and vec(C) are sqrt(s1) times the leading left/right singular
     vectors of the rearrangement (column-major vec).  A zero input returns
-    zero factors.
+    zero factors.  On the Lanczos path the pair is optimal unless the
+    input is built so that v1 is orthogonal to the solver's fixed start
+    (see :func:`~stpz.svd.leading_triplet`); ``residual`` is the norm of
+    A - B ⊗ C for the returned pair either way.
     """
     A = np.asarray(A, dtype=np.complex128)
     m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
     R = rearrange(A, m2, n2)
-    f = leading_triplet(R)
+    f = leading_triplet(R) if R.size * min(R.shape) > _DENSE_WORK else None
     if f is None:
         f = svd(R)
     s1 = np.sqrt(f.sigma[0])

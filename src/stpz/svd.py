@@ -80,6 +80,13 @@ def leading_triplet(A) -> SvdResult | None:
     Kronecker product, of rank 1) breaks down with beta = 0, which is such
     a stop.  A zero input gives (0, e_1, e_1) as :func:`svd` does.  The
     result has one column and follows :func:`svd`'s phase convention.
+
+    The stopping test certifies a singular triplet, not the leading one.
+    Like any Krylov method from one start vector, the process finds
+    sigma_1 only if A w has a component along u_1, that is, if w is not
+    orthogonal to v_1.  A matrix built with v_1 orthogonal to the fixed w
+    converges to a smaller singular value; its residual is still below the
+    tolerance.
     """
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:
@@ -125,9 +132,11 @@ def leading_triplet(A) -> SvdResult | None:
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # Two classical Gram-Schmidt passes against orthonormal rows.
+    # Two classical Gram-Schmidt passes against orthonormal rows.  The
+    # coefficients basis^* x are formed as conj(basis @ conj(x)), which
+    # conjugates the vector rather than a copy of the whole basis.
     for _ in range(2):
-        x = x - (basis.conj() @ x) @ basis
+        x = x - np.conj(basis @ np.conj(x)) @ basis
     return x
 
 

@@ -89,11 +89,6 @@ class TestRearrange:
         assert not np.shares_memory(R, A)
         assert np.array_equal(unrearrange(R, 3 // m2, 4 // n2, m2, n2), A)
 
-    def test_unrearrange_inverts(self):
-        rng = np.random.default_rng(8)
-        R = cplx(rng, 6, 8)
-        assert np.array_equal(rearrange(unrearrange(R, 2, 3, 2, 4), 2, 4), R)
-
     @given(
         m1=st.integers(1, 3),
         m2=st.integers(1, 3),
@@ -205,6 +200,20 @@ class TestNkp:
         rng = np.random.default_rng(11)
         nkp(np.kron(cplx(rng, 8, 8), cplx(rng, 8, 8)) + 0.01 * cplx(rng, 64, 64), 8, 8)
         assert spy.calls == 0
+
+    @pytest.mark.parametrize("m1, m2, dense", [(16, 4, 1), (6, 8, 0)])
+    def test_small_rearrangement_takes_dense_svd(self, monkeypatch, m1, m2, dense):
+        # m1 = 16, m2 = 4 rearranges to 256 x 16, at the dense-work limit;
+        # m1 = 6, m2 = 8 rearranges to 36 x 64, just above it.
+        spy = CountingSvd()
+        monkeypatch.setattr(nkp_module, "svd", spy)
+        rng = np.random.default_rng(13)
+        A = np.kron(cplx(rng, m1, m1), cplx(rng, m2, m2)) + 0.01 * cplx(rng, m1 * m2, m1 * m2)
+        f = nkp(A, m2, m2)
+        assert spy.calls == dense
+        ref, tail = dense_kron(A, m2, m2)
+        assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-10
+        assert f.residual == pytest.approx(tail, rel=1e-9)
 
     def test_flat_spectrum_falls_back_to_dense(self, monkeypatch):
         # A rearrangement with relative gaps of 0.2% outlasts the Lanczos

@@ -185,6 +185,24 @@ class TestLeadingTriplet:
         tail = np.linalg.norm(svd(A).sigma[1:])
         assert np.linalg.norm(A - f.sigma[0] * np.outer(u, v.conj())) == pytest.approx(tail, rel=1e-12)
 
+    def test_start_orthogonal_to_v1_gives_a_smaller_triplet(self):
+        # The documented limit of a one-start Krylov method: with v1
+        # orthogonal to the fixed start w, the process never sees sigma_1
+        # and stops at sigma_2.  What the stopping test certifies still
+        # holds: the result is a singular triplet to the tolerance.
+        rng = np.random.default_rng(15)
+        m, n = 40, 30
+        w = np.random.default_rng(0).standard_normal(n)
+        v1 = cplx(rng, n)
+        v1 -= (w @ v1) / (w @ w) * w
+        V, _ = np.linalg.qr(np.c_[v1, cplx(rng, n, n - 1)])
+        U, _ = np.linalg.qr(cplx(rng, m, n))
+        A = (U * np.r_[3.0, 2.0, 1.0, 0.5 * 0.9 ** np.arange(n - 3)]) @ V.conj().T
+        f = leading_triplet(A)
+        assert f.sigma[0] == pytest.approx(2.0, rel=1e-12)
+        u, v = f.U[:, 0], f.V[:, 0]
+        assert np.linalg.norm(A @ v - f.sigma[0] * u) <= 1e-11 * f.sigma[0]
+
     def test_flat_spectrum_exhausts_budget(self):
         # Relative gaps of 0.2% need far more steps than the budget.
         rng = np.random.default_rng(12)
