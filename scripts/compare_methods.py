@@ -7,55 +7,25 @@ with timing, relative error, PSNR, SSIM, and the compression rate.  Without
 """
 
 import argparse
-import time
 
-from stpz.codec import Method, compression_rate, storage_count
-from stpz.decomp import reconstruct, t_svd_trunc, tensor_stp_svd_trunc
-from stpz.imaging import image_to_tensor, load_ppm, psnr, relative_error, ssim, tensor_to_image
+from stpz.cli import run_method
+from stpz.imaging import load_ppm
 from stpz.synthetic import structured_test_image
 
 
-def run_one(img, A, method, m2, n2, r):
-    h, w, c = A.shape
-    m1, n1 = h // m2, w // n2
-    R = [r] * c
-    t0 = time.perf_counter()
-    if method == "stpsvd":
-        out = reconstruct(tensor_stp_svd_trunc(A, m2, n2, R))
-        count = storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, c, R)
-        cr = compression_rate(Method.TRUNC_STPSVD, m1, m2, n1, n2, c, R)
-    else:
-        out = reconstruct(t_svd_trunc(A, R))
-        count = storage_count(Method.TRUNC_TSVD, m1, m2, n1, n2, c, R)
-        cr = compression_rate(Method.TRUNC_TSVD, m1, m2, n1, n2, c, R)
-    elapsed = time.perf_counter() - t0
-    test = tensor_to_image(out)
-    return {
-        "method": method,
-        "r": r,
-        "time_s": elapsed,
-        "rel_err": relative_error(img, test),
-        "psnr_db": psnr(img, test),
-        "ssim": ssim(img, test),
-        "count": count,
-        "cr": float(cr),
-    }
-
-
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--input", help="PPM/PGM image (default: synthetic 96x96x3)")
     ap.add_argument("--m2", type=int, default=4)
     ap.add_argument("--n2", type=int, default=4)
     ap.add_argument("--ranks", default="2,4,8")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.input:
         with open(args.input, "rb") as fh:
             img = load_ppm(fh.read())
     else:
         img = structured_test_image(m2=args.m2, n2=args.n2)
-    A = image_to_tensor(img)
     ranks = [int(r) for r in args.ranks.split(",")]
 
     header = f"{'method':8} {'r':>4} {'time_s':>9} {'rel_err':>10} {'psnr_db':>9} {'ssim':>7} {'count':>9} {'cr':>9}"
@@ -63,11 +33,11 @@ def main():
     print("-" * len(header))
     for r in ranks:
         for method in ("stpsvd", "tsvd"):
-            row = run_one(img, A, method, args.m2, args.n2, r)
+            rep = run_method(img, method, args.m2, args.n2, [r] * img.channels)
             print(
-                f"{row['method']:8} {row['r']:>4d} {row['time_s']:>9.4f} "
-                f"{row['rel_err']:>10.4g} {row['psnr_db']:>9.3f} {row['ssim']:>7.4f} "
-                f"{row['count']:>9d} {row['cr']:>9.5f}"
+                f"{rep.method:8} {r:>4d} {rep.wall_time_seconds:>9.4f} "
+                f"{rep.related_error:>10.4g} {rep.psnr_db:>9.3f} {rep.ssim:>7.4f} "
+                f"{rep.storage_count:>9d} {float(rep.cr):>9.5f}"
             )
 
 

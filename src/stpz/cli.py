@@ -2,8 +2,9 @@
 
 JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 dimension/validation error, 3 I/O error, 4 malformed file.  The
-STPZ_THREADS environment variable caps per-slice parallelism (0 or unset =
-one worker per CPU, at most one per slice).
+STPZ_THREADS environment variable sets the number of per-slice workers:
+unset means 1 (slices run serially), 0 means one worker per CPU, and N means
+N workers, never more than one per slice.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .codec import Method, deserialize, serialize, storage_count
 from .decomp import reconstruct, t_svd_trunc, tensor_stp_svd_trunc
 from .errors import DimensionError, FormatError
 from .imaging import (
+    ImageBuffer,
     image_to_tensor,
     load_ppm,
     psnr,
@@ -30,7 +32,7 @@ from .imaging import (
     tensor_to_image,
 )
 
-__all__ = ["BenchReport", "main"]
+__all__ = ["BenchReport", "main", "run_method"]
 
 
 @dataclass
@@ -64,7 +66,9 @@ class BenchReport:
 
 
 def _threads(slices: int) -> int:
-    raw = os.environ.get("STPZ_THREADS", "0")
+    # Serial by default: the slice pool competes with threaded BLAS inside
+    # each slice's SVD, and was measured slower than one worker.
+    raw = os.environ.get("STPZ_THREADS", "1")
     try:
         cap = int(raw)
     except ValueError:
@@ -177,33 +181,32 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    img = load_ppm(_read_bytes(args.input))
+def run_method(
+    img: ImageBuffer, method: str, m2: int, n2: int, R: list[int], threads: int = 1
+) -> BenchReport:
+    """Decompose ``img`` with one truncated method ("stpsvd" or "tsvd") at
+    per-slice rank R, reconstruct it, and score the result against ``img``.
+
+    The wall time covers decomposition and reconstruction, not scoring.
+    """
     A = image_to_tensor(img)
     h, w, c = A.shape
-    _check_divides(args.m2, "m2", h, "image height")
-    _check_divides(args.n2, "n2", w, "image width")
-    m1, n1 = h // args.m2, w // args.n2
-    threads = _threads(c)
-    if args.method == "stpsvd":
-        R = _parse_rank(args.rank, c, min(m1, n1))
-        t0 = time.perf_counter()
-        F = tensor_stp_svd_trunc(A, args.m2, args.n2, R, threads=threads)
-        out = reconstruct(F, drop_imag=True)
-        elapsed = time.perf_counter() - t0
-        count = storage_count(Method.TRUNC_STPSVD, m1, args.m2, n1, args.n2, c, R)
+    m1, n1 = h // m2, w // n2
+    t0 = time.perf_counter()
+    if method == "stpsvd":
+        F = tensor_stp_svd_trunc(A, m2, n2, R, threads=threads)
+        kind = Method.TRUNC_STPSVD
     else:
-        R = _parse_rank(args.rank, c, min(h, w))
-        t0 = time.perf_counter()
         F = t_svd_trunc(A, R, threads=threads)
-        out = reconstruct(F, drop_imag=True)
-        elapsed = time.perf_counter() - t0
-        count = storage_count(Method.TRUNC_TSVD, m1, args.m2, n1, args.n2, c, R)
+        kind = Method.TRUNC_TSVD
+    out = reconstruct(F, drop_imag=True)
+    elapsed = time.perf_counter() - t0
     test = tensor_to_image(out)
-    report = BenchReport(
-        method=args.method,
-        m2=args.m2,
-        n2=args.n2,
+    count = storage_count(kind, m1, m2, n1, n2, c, R)
+    return BenchReport(
+        method=method,
+        m2=m2,
+        n2=n2,
         R=R,
         wall_time_seconds=elapsed,
         related_error=relative_error(img, test),
@@ -212,7 +215,16 @@ def cmd_bench(args) -> int:
         storage_count=count,
         cr=Fraction(count, h * w * c),
     )
-    _emit(report.to_json())
+
+
+def cmd_bench(args) -> int:
+    img = load_ppm(_read_bytes(args.input))
+    h, w, c = img.samples.shape
+    _check_divides(args.m2, "m2", h, "image height")
+    _check_divides(args.n2, "n2", w, "image width")
+    rmax = min(h // args.m2, w // args.n2) if args.method == "stpsvd" else min(h, w)
+    R = _parse_rank(args.rank, c, rmax)
+    _emit(run_method(img, args.method, args.m2, args.n2, R, _threads(c)).to_json())
     return 0
 
 

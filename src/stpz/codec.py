@@ -16,7 +16,7 @@ Container layout ("STPZ" v1, little-endian, no padding):
                       C_i (m2 x n2 complex), V_i (n1 x R_i complex)
 
 Complex scalars are (re, im) f64 pairs; matrices are column-major.  Trailing
-bytes are a format error.
+bytes and non-finite (NaN or Inf) scalars are format errors.
 """
 
 from __future__ import annotations
@@ -174,10 +174,18 @@ class _Reader:
         self.pos += size
         return out
 
+    def array(self, count: int, dtype: str, what: str) -> np.ndarray:
+        """The next ``count`` scalars of ``dtype``; NaN or Inf is a format
+        error at the field's offset."""
+        at, kind = self.pos, np.dtype(dtype)
+        raw = self.take(kind.itemsize * count, what)
+        flat = np.frombuffer(raw, dtype=kind).astype(kind.newbyteorder("="))
+        if not np.all(np.isfinite(flat)):
+            raise FormatError(f"{what} contains NaN or Inf", at)
+        return flat
+
     def matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
-        raw = self.take(16 * rows * cols, what)
-        flat = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
-        return flat.reshape((rows, cols), order="F")
+        return self.array(rows * cols, "<c16", what).reshape((rows, cols), order="F")
 
 
 def deserialize(data: bytes) -> TensorStpSvd:
@@ -204,8 +212,7 @@ def deserialize(data: bytes) -> TensorStpSvd:
     slices = []
     for i, r in enumerate(R):
         U = rd.matrix(m1, r, f"slice {i} left factor")
-        raw = rd.take(8 * r, f"slice {i} singular values")
-        sigma = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        sigma = rd.array(r, "<f8", f"slice {i} singular values")
         C = rd.matrix(m2, n2, f"slice {i} Kronecker factor")
         V = rd.matrix(n1, r, f"slice {i} right factor")
         slices.append(MatStpSvd(U=U, sigma=sigma, C=C, V=V, dims=(m1, m2, n1, n2)))

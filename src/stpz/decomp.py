@@ -203,6 +203,13 @@ def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
 
     Slices with R[i] < max(R) are zero-padded so the factor tensors share a
     common width max(R).
+
+    For real A the DFT slices are conjugate-symmetric, slice n3 - i being
+    conj(slice i), so only slices 0..n3//2 are decomposed: slice i keeps
+    max(R[i], R[n3 - i]) triplets, and slice n3 - i takes the leading
+    R[n3 - i] of them conjugated.  Conjugation keeps the phase convention.
+    The self-conjugate slices (0, and n3/2 for even n3) are real and go to
+    the real SVD.
     """
     A = as_tensor3(A)
     n1, n2, n3 = A.shape
@@ -213,14 +220,27 @@ def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
     Sh = np.zeros((rmax, rmax, n3), dtype=np.complex128)
     Vh = np.zeros((n2, rmax, n3), dtype=np.complex128)
 
-    def work(i: int):
-        return svds(Ah[:, :, i], R[i])
+    def put(i: int, U, sigma, V) -> None:
+        r = R[i]
+        Uh[:, :r, i] = U[:, :r]
+        Sh[:r, :r, i] = np.diag(sigma[:r])
+        Vh[:, :r, i] = V[:, :r]
 
-    for i, f in enumerate(_slice_map(work, n3, threads)):
-        r = f.sigma.size
-        Uh[:, :r, i] = f.U
-        Sh[:r, :r, i] = np.diag(f.sigma)
-        Vh[:, :r, i] = f.V
+    if _is_real(A):
+        def work(i: int):
+            j = -i % n3
+            if i == j:
+                return svds(Ah[:, :, i].real, R[i])
+            return svds(Ah[:, :, i], max(R[i], R[j]))
+
+        for i, f in enumerate(_slice_map(work, n3 // 2 + 1, threads)):
+            put(i, f.U, f.sigma, f.V)
+            j = -i % n3
+            if j != i:
+                put(j, f.U.conj(), f.sigma, f.V.conj())
+    else:
+        for i, f in enumerate(_slice_map(lambda i: svds(Ah[:, :, i], R[i]), n3, threads)):
+            put(i, f.U, f.sigma, f.V)
     return TSvdFactors(U=idft3(Uh), S=idft3(Sh), V=idft3(Vh))
 
 

@@ -4,7 +4,9 @@
 vector rotated so that its largest-modulus entry is real and positive, ties
 broken by lowest row index; the matching right vector gets the same rotation.
 Repeated calls on identical input are therefore bitwise reproducible, which
-downstream factorizations rely on for stable truncation prefixes.
+downstream factorizations rely on for stable truncation prefixes.  A
+real-dtype input takes LAPACK's real-arithmetic SVD and gives real factors, for
+which the rotation is a sign.
 """
 
 from __future__ import annotations
@@ -51,12 +53,23 @@ def _fix_phases(U: np.ndarray, V: np.ndarray) -> None:
             V[:, j] *= ph
 
 
-def svd(A) -> SvdResult:
-    """Thin SVD of a dense matrix."""
-    A = np.asarray(A, dtype=np.complex128)
+def _as_matrix(A, name: str) -> np.ndarray:
+    # Complex input stays complex128; any other dtype becomes float64.
+    A = np.asarray(A)
+    A = np.asarray(A, dtype=np.complex128 if np.iscomplexobj(A) else np.float64)
     if A.ndim != 2:
-        raise DimensionError("svd expects a matrix")
-    if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag))):
+        raise DimensionError(f"{name} expects a matrix")
+    return A
+
+
+def svd(A) -> SvdResult:
+    """Thin SVD of a dense matrix.
+
+    Real input (any non-complex dtype) gives real float64 factors; complex
+    input gives complex128 factors.
+    """
+    A = _as_matrix(A, "svd")
+    if not np.all(np.isfinite(A)):
         raise NumericError("svd input contains NaN or Inf")
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     V = Vh.conj().T.copy()
@@ -141,10 +154,8 @@ def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def svds(A, r: int) -> SvdResult:
-    """Leading r singular triplets of :func:`svd`."""
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2:
-        raise DimensionError("svds expects a matrix")
+    """Leading r singular triplets of :func:`svd`, real for real input."""
+    A = _as_matrix(A, "svds")
     p = min(A.shape)
     if not 1 <= r <= p:
         raise DimensionError(f"truncation rank {r} out of range [1, {p}]")

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from stpz.cli import main
+from stpz.cli import _threads, main
 from stpz.codec import Method, deserialize, storage_count
 from stpz.imaging import ImageBuffer, load_ppm, save_ppm
 from stpz.synthetic import structured_test_image
@@ -114,6 +115,14 @@ class TestCompressDecompress:
         assert code == 0
         assert base.read_bytes() == threaded.read_bytes()
 
+    def test_threads_default_is_serial(self, monkeypatch):
+        monkeypatch.delenv("STPZ_THREADS", raising=False)
+        assert _threads(3) == 1
+        monkeypatch.setenv("STPZ_THREADS", "2")
+        assert _threads(3) == 2 and _threads(1) == 1
+        monkeypatch.setenv("STPZ_THREADS", "0")
+        assert _threads(3) == max(1, min(os.cpu_count() or 1, 3))
+
 
 class TestExitCodes:
     def test_divisibility_exit_2_names_dimension(self, tmp_path, ppm_path, capsys):
@@ -137,6 +146,22 @@ class TestExitCodes:
         bad.write_bytes(b"NOPE" + bytes(64))
         assert main(["decompress", "--input", str(bad), "--output", str(tmp_path / "o.ppm")]) == 4
         assert main(["info", "--input", str(bad)]) == 4
+
+    def test_non_finite_container_exit_4(self, tmp_path, ppm_path, capsys):
+        packed = tmp_path / "o.stpz"
+        run(
+            capsys, "compress", "--input", ppm_path, "--m2", 4, "--n2", 4,
+            "--rank", "2", "--output", packed,
+        )
+        blob = bytearray(packed.read_bytes())
+        sigma_at = 28 + 4 * 3 + 16 * 6 * 2  # slice 0's sigma, after U (6 x 2)
+        blob[sigma_at : sigma_at + 8] = np.float64(np.nan).tobytes()
+        packed.write_bytes(bytes(blob))
+        out = tmp_path / "o.ppm"
+        assert main(["decompress", "--input", str(packed), "--output", str(out)]) == 4
+        assert not out.exists()
+        assert main(["info", "--input", str(packed)]) == 4
+        assert f"offset {sigma_at}" in capsys.readouterr().err
 
     def test_corrupt_image_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.ppm"

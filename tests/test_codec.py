@@ -184,6 +184,23 @@ class TestContainer:
             deserialize(bytes(blob))
         assert exc.value.offset == 8
 
+    @pytest.mark.parametrize("field", ["U", "sigma", "C", "V"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload(self, field, value):
+        rng = np.random.default_rng(11)
+        m1, m2, n1, n2, r = 2, 3, 2, 2, 2
+        blob = bytearray(serialize(random_factors(rng, m1, m2, n1, n2, [1, r])))
+        # Offsets of slice 1's fields; the bad scalar is the field's last.
+        start = 28 + 4 * 2 + 16 * (m1 + m2 * n2 + n1) + 8
+        sizes = {"U": 16 * m1 * r, "sigma": 8 * r, "C": 16 * m2 * n2, "V": 16 * n1 * r}
+        order = list(sizes)
+        at = start + sum(sizes[name] for name in order[: order.index(field)])
+        end = at + sizes[field]
+        blob[end - 8 : end] = np.float64(value).tobytes()
+        with pytest.raises(FormatError, match="NaN or Inf") as exc:
+            deserialize(bytes(blob))
+        assert exc.value.offset == at
+
     def test_serialize_validates_slices(self):
         rng = np.random.default_rng(10)
         F = random_factors(rng, 2, 2, 2, 2, [1, 1])

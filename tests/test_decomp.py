@@ -1,5 +1,8 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import cplx, rel_err
@@ -25,6 +28,10 @@ from stpz.tensor import (
     is_f_diagonal,
     is_unitary_tensor,
 )
+
+# The package re-exports functions named like their modules, so the module
+# is looked up by its full name.
+decomp_module = importlib.import_module("stpz.decomp")
 
 
 def kron_structured_tensor(rng, m1, m2, n1, n2, l, rank=None):
@@ -287,6 +294,80 @@ class TestTSvd:
     def test_trunc_rank_validation(self):
         with pytest.raises(DimensionError):
             t_svd_trunc(np.zeros((4, 4, 2)), [5, 4])
+
+    @given(
+        n1=st.integers(1, 5),
+        n2=st.integers(1, 5),
+        l=st.integers(1, 5),
+        symmetric=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_trunc_real_input_tail_energy(self, n1, n2, l, symmetric, seed):
+        # Half-spectrum path: the error is the Parseval-scaled dense tail
+        # energy of every slice, for conjugate-paired ranks that agree or not.
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n1, n2, l))
+        R = [int(r) for r in rng.integers(1, min(n1, n2) + 1, size=l)]
+        if symmetric:
+            R = [R[min(i, -i % l)] for i in range(l)]
+        Ah = dft3(A)
+        tail = sum(
+            np.sum(np.linalg.svd(Ah[:, :, i], compute_uv=False)[R[i] :] ** 2)
+            for i in range(l)
+        )
+        err_sq = frobenius_norm(A - reconstruct(t_svd_trunc(A, R))) ** 2
+        assert err_sq == pytest.approx(tail / l, rel=1e-9, abs=1e-20 * np.sum(A**2))
+
+    def _fourier_factors(self, monkeypatch, A, R):
+        # Fourier-domain (Uh, Sh, Vh) as t_svd_trunc hands them to idft3,
+        # and the svds calls it made.
+        seen, calls = [], []
+        real_idft3, real_svds = decomp_module.idft3, decomp_module.svds
+        monkeypatch.setattr(
+            decomp_module, "idft3", lambda X: seen.append(X) or real_idft3(X)
+        )
+        monkeypatch.setattr(
+            decomp_module, "svds", lambda M, r: calls.append(M.dtype) or real_svds(M, r)
+        )
+        t_svd_trunc(A, R)
+        return seen, calls
+
+    @pytest.mark.parametrize("l", [4, 5])
+    def test_trunc_real_input_mirrors_conjugate_slices(self, monkeypatch, l):
+        rng = np.random.default_rng(23)
+        A = rng.normal(size=(6, 5, l))
+        R = [4, 2, 3, 3, 2][:l] if l == 5 else [4, 2, 3, 2]
+        factors, calls = self._fourier_factors(monkeypatch, A, R)
+        # Slices 0..l//2 decomposed; the self-conjugate ones by the real SVD.
+        assert len(calls) == l // 2 + 1
+        assert calls[0] == np.float64
+        assert (calls[l // 2] == np.float64) == (l % 2 == 0)
+        for X in factors:
+            for i in range(1, l):
+                assert np.array_equal(X[:, :, l - i], X[:, :, i].conj())
+        Uh = factors[0]
+        for i in range(l):
+            col = Uh[:, : R[i], i]
+            for j in range(R[i]):
+                k = int(np.argmax(np.abs(col[:, j])))
+                assert col[k, j].imag == pytest.approx(0.0, abs=1e-14)
+                assert col[k, j].real > 0
+
+    def test_trunc_complex_input_decomposes_every_slice(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        A = cplx(rng, 5, 4, 4)
+        R = [2, 3, 1, 2]
+        factors, calls = self._fourier_factors(monkeypatch, A, R)
+        assert calls == [np.complex128] * 4
+        ref = dft3(A)
+        for i in range(4):
+            U = factors[0][:, : R[i], i]
+            V = factors[2][:, : R[i], i]
+            S = factors[1][: R[i], : R[i], i]
+            resid = np.linalg.norm(ref[:, :, i] - U @ S @ V.conj().T) ** 2
+            tail = np.sum(np.linalg.svd(ref[:, :, i], compute_uv=False)[R[i] :] ** 2)
+            assert resid == pytest.approx(tail, rel=1e-9)
 
 
 class TestReconstructErrors:

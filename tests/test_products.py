@@ -162,6 +162,13 @@ class TestTProduct:
         rhs = fold(bcirc(A) @ unfold(B), 2, 2, 3)
         assert rel_err(lhs, rhs) <= 1e-10
 
+    @pytest.mark.parametrize("n3", [1, 2, 5])
+    def test_bcirc_oracle_non_square_slices(self, n3):
+        rng = np.random.default_rng(12)
+        A, B = cplx(rng, 4, 3, n3), cplx(rng, 3, 5, n3)
+        rhs = fold(bcirc(A) @ unfold(B), 4, 5, n3)
+        assert rel_err(t_product(A, B), rhs) <= 1e-12
+
     def test_dim_errors(self):
         with pytest.raises(DimensionError):
             t_product(np.zeros((2, 3, 2)), np.zeros((2, 2, 2)))

@@ -1,0 +1,20 @@
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_methods_prints_one_row_per_method(capsys):
+    load_script("compare_methods").main(["--ranks", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:2] for row in rows] == [["stpsvd", "2"], ["tsvd", "2"]]
+    for row in rows:
+        assert len(row) == 8 and all(float(v) >= 0 for v in row[2:])

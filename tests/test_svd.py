@@ -74,6 +74,22 @@ class TestSvd:
         with pytest.raises(NumericError):
             svd(A)
 
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
+    def test_real_input_gives_real_factors(self, shape):
+        # Real input takes LAPACK's real-arithmetic SVD; the phase rule
+        # becomes a sign rule, and svds keeps svd's prefix.
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=shape)
+        p = min(shape)
+        f, g = svd(A), svds(A, p - 1)
+        assert np.linalg.norm(A - recon(f)) <= 1e-12 * np.linalg.norm(A)
+        for h in (f, g):
+            assert h.U.dtype == np.float64 and h.V.dtype == np.float64
+            for j in range(h.rank):
+                assert h.U[int(np.argmax(np.abs(h.U[:, j]))), j] > 0
+        assert np.array_equal(f.U[:, : p - 1], g.U) and np.array_equal(f.V[:, : p - 1], g.V)
+        assert_allclose(f.sigma, svd(A.astype(np.complex128)).sigma, rtol=1e-12)
+
 
 class TestSvds:
     def test_full_rank_equals_svd(self):
