@@ -2,9 +2,8 @@
 
 JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 dimension/validation error, 3 I/O error, 4 malformed file.  The
-STPZ_THREADS environment variable sets the number of per-slice workers:
-unset means 1 (slices run serially), 0 means one worker per CPU, and N means
-N workers, never more than one per slice.
+STPZ_THREADS environment variable caps per-slice parallelism (0 or unset =
+one worker per CPU, at most one per slice).
 """
 
 from __future__ import annotations
@@ -66,9 +65,7 @@ class BenchReport:
 
 
 def _threads(slices: int) -> int:
-    # Serial by default: the slice pool competes with threaded BLAS inside
-    # each slice's SVD, and was measured slower than one worker.
-    raw = os.environ.get("STPZ_THREADS", "1")
+    raw = os.environ.get("STPZ_THREADS", "0")
     try:
         cap = int(raw)
     except ValueError:

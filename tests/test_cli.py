@@ -115,13 +115,13 @@ class TestCompressDecompress:
         assert code == 0
         assert base.read_bytes() == threaded.read_bytes()
 
-    def test_threads_default_is_serial(self, monkeypatch):
+    def test_threads_default_is_one_per_cpu(self, monkeypatch):
         monkeypatch.delenv("STPZ_THREADS", raising=False)
-        assert _threads(3) == 1
-        monkeypatch.setenv("STPZ_THREADS", "2")
-        assert _threads(3) == 2 and _threads(1) == 1
+        assert _threads(3) == max(1, min(os.cpu_count() or 1, 3))
         monkeypatch.setenv("STPZ_THREADS", "0")
         assert _threads(3) == max(1, min(os.cpu_count() or 1, 3))
+        monkeypatch.setenv("STPZ_THREADS", "2")
+        assert _threads(3) == 2 and _threads(1) == 1
 
 
 class TestExitCodes:
