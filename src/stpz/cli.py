@@ -158,6 +158,10 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     F = deserialize(_read_bytes(args.input))
+    l = F.dims[4]
+    if l not in (1, 3):
+        # 24 is the byte offset of the container's l field.
+        raise FormatError(f"container has {l} slices; an image needs 1 or 3", 24)
     img = tensor_to_image(reconstruct(F))
     if img.imag_warning:
         print("warning: reconstruction had non-negligible imaginary part", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 Images are 8-bit with samples stored as a uint8 array of shape
 (height, width, channels), channels interleaved row-major; maxval is fixed
-at 255.  PSNR uses the 8-bit peak; SSIM uses the standard 11x11 Gaussian
-window (sigma 1.5, unit sum), stabilizers C1 = (0.01*255)^2 and
-C2 = (0.03*255)^2, valid-region cropping at the borders, and an unweighted
-mean over channels.
+at 255.  PSNR uses the 8-bit peak; PSNR and relative error sum squared
+samples exactly, in integers.  SSIM uses the standard 11x11 Gaussian window
+(sigma 1.5, unit sum), stabilizers C1 = (0.01*255)^2 and C2 = (0.03*255)^2,
+valid-region cropping at the borders, and an unweighted mean over channels.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, FormatError
 from .tensor import as_tensor3
@@ -35,6 +34,9 @@ _SIGMA = 1.5
 _C1 = (0.01 * 255.0) ** 2
 _C2 = (0.03 * 255.0) ** 2
 _IMAG_TOL = 1e-6
+# SSIM output tile: rows per row-filter GEMM, columns per column-filter GEMM.
+_ROW_TILE = 32
+_COL_TILE = 64
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 
@@ -146,7 +148,9 @@ def tensor_to_image(A) -> ImageBuffer:
         raise DimensionError(f"expected 1 or 3 slices, got {A.shape[2]}")
     warn = bool(np.max(np.abs(A.imag)) > _IMAG_TOL) if A.size else False
     x = np.clip(A.real, 0.0, 255.0)
-    samples = np.floor(x + 0.5).astype(np.uint8)
+    x += 0.5
+    np.floor(x, out=x)
+    samples = x.astype(np.uint8)
     return ImageBuffer(samples, imag_warning=warn)
 
 
@@ -157,14 +161,27 @@ def _check_same_shape(ref: ImageBuffer, test: ImageBuffer) -> None:
         )
 
 
+def _sum_squares(samples: np.ndarray) -> int:
+    """Exact sum of squares of uint8 samples; 255^2 fits in a uint16."""
+    sq = samples.astype(np.uint16)
+    sq *= sq
+    return int(sq.sum(dtype=np.int64))
+
+
+def _diff_sum_squares(ref: ImageBuffer, test: ImageBuffer) -> int:
+    """Exact ||ref - test||_F^2 over the samples."""
+    d = np.maximum(ref.samples, test.samples)
+    d -= np.minimum(ref.samples, test.samples)
+    return _sum_squares(d)
+
+
 def psnr(ref: ImageBuffer, test: ImageBuffer) -> float:
     """10*log10(255^2 / MSE) over all samples; +inf for identical images."""
     _check_same_shape(ref, test)
-    diff = ref.samples.astype(np.float64) - test.samples.astype(np.float64)
-    mse = float(np.mean(diff * diff))
-    if mse == 0.0:
+    sq = _diff_sum_squares(ref, test)
+    if sq == 0:
         return math.inf
-    return 10.0 * math.log10(255.0**2 / mse)
+    return 10.0 * math.log10(255.0**2 / (sq / ref.samples.size))
 
 
 def _gaussian_window() -> np.ndarray:
@@ -173,41 +190,91 @@ def _gaussian_window() -> np.ndarray:
     return g / g.sum()
 
 
-def _window_mean(img: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Separable valid-mode correlation with the unit-sum Gaussian window.
-    t = sliding_window_view(img, _WINDOW, axis=0) @ g
-    return sliding_window_view(t, _WINDOW, axis=1) @ g
+def _band(rows: int) -> np.ndarray:
+    """rows x (rows + 10) band whose row i holds the window in columns i..i+10.
+
+    Its leading b x (b + 10) block is the band of b rows.
+    """
+    band = np.zeros((rows, rows + _WINDOW - 1))
+    i = np.arange(rows)
+    for k, gk in enumerate(_gaussian_window()):
+        band[i, i + k] = gk
+    return band
 
 
 def ssim(ref: ImageBuffer, test: ImageBuffer) -> float:
-    """Mean local structural similarity, averaged over channels."""
+    """Mean local structural similarity, averaged over channels.
+
+    One pass over tiles of output rows.  Each tile's four maps x, y,
+    x^2 + y^2 and xy (all channels, integers exact in float64) are filtered
+    by the separable window as two banded GEMMs, and the tile's SSIM map is
+    summed per channel at once; no full-size map is built.  var_x + var_y
+    is taken as W(x^2 + y^2) - (mu_x^2 + mu_y^2): for x = y that is exactly
+    2 (W(xy) - mu_x mu_y), so ssim(a, a) is exactly 1.
+    """
     _check_same_shape(ref, test)
-    if ref.height < _WINDOW or ref.width < _WINDOW:
+    h, w, c = ref.samples.shape
+    if h < _WINDOW or w < _WINDOW:
         raise DimensionError(
-            f"image {ref.width}x{ref.height} smaller than the {_WINDOW}x{_WINDOW} window"
+            f"image {w}x{h} smaller than the {_WINDOW}x{_WINDOW} window"
         )
-    g = _gaussian_window()
-    vals = []
-    for c in range(ref.channels):
-        x = ref.samples[:, :, c].astype(np.float64)
-        y = test.samples[:, :, c].astype(np.float64)
-        mu_x = _window_mean(x, g)
-        mu_y = _window_mean(y, g)
-        var_x = _window_mean(x * x, g) - mu_x * mu_x
-        var_y = _window_mean(y * y, g) - mu_y * mu_y
-        cov = _window_mean(x * y, g) - mu_x * mu_y
-        num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
-        den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
-        vals.append(float(np.mean(num / den)))
-    return float(np.mean(vals))
+    oh, ow = h - _WINDOW + 1, w - _WINDOW + 1
+    band = _band(max(_ROW_TILE, _COL_TILE))
+    span = _ROW_TILE + _WINDOW - 1
+    xi = np.empty((span, c, w), dtype=np.int32)
+    yi = np.empty((span, c, w), dtype=np.int32)
+    maps = np.empty((span, 4, c, w))
+    filtered = np.empty((_ROW_TILE * 4 * c, ow))
+    sums = np.zeros(c)
+    for i0 in range(0, oh, _ROW_TILE):
+        b = min(_ROW_TILE, oh - i0)
+        rows = b + _WINDOW - 1
+        x, y, m = xi[:rows], yi[:rows], maps[:rows]
+        x[...] = ref.samples[i0 : i0 + rows].transpose(0, 2, 1)
+        y[...] = test.samples[i0 : i0 + rows].transpose(0, 2, 1)
+        m[:, 0] = x
+        m[:, 1] = y
+        np.multiply(x, y, out=m[:, 3])
+        x *= x
+        y *= y
+        x += y
+        m[:, 2] = x
+        t = (band[:b, :rows] @ m.reshape(rows, -1)).reshape(b * 4 * c, w)
+        f = filtered[: b * 4 * c]
+        for j0 in range(0, ow, _COL_TILE):
+            bc = min(_COL_TILE, ow - j0)
+            np.matmul(
+                t[:, j0 : j0 + bc + _WINDOW - 1],
+                band[:bc, : bc + _WINDOW - 1].T,
+                out=f[:, j0 : j0 + bc],
+            )
+        f = f.reshape(b, 4, c, ow)
+        mu_x, mu_y, sq, xy = f[:, 0], f[:, 1], f[:, 2], f[:, 3]
+        # In place: num = (2 mu_xy + C1)(2 (xy - mu_xy) + C2) and
+        # den = (mu_sq + C1)(sq - mu_sq + C2), mu_sq = mu_x^2 + mu_y^2.
+        mu_xy = mu_x * mu_y
+        mu_sq = mu_x * mu_x
+        mu_sq += mu_y * mu_y
+        num = xy - mu_xy
+        num *= 2.0
+        num += _C2
+        mu_xy *= 2.0
+        mu_xy += _C1
+        num *= mu_xy
+        den = sq - mu_sq
+        den += _C2
+        mu_sq += _C1
+        den *= mu_sq
+        num /= den
+        sums += num.sum(axis=(0, 2))
+    return float(np.mean(sums / (oh * ow)))
 
 
 def relative_error(ref: ImageBuffer, test: ImageBuffer) -> float:
     """||ref - test||_F / ||ref||_F over the raw samples."""
     _check_same_shape(ref, test)
-    r = ref.samples.astype(np.float64)
-    t = test.samples.astype(np.float64)
-    denom = np.linalg.norm(r.ravel())
-    if denom == 0.0:
-        return 0.0 if np.array_equal(r, t) else math.inf
-    return float(np.linalg.norm((r - t).ravel()) / denom)
+    diff = _diff_sum_squares(ref, test)
+    denom = _sum_squares(ref.samples)
+    if denom == 0:
+        return 0.0 if diff == 0 else math.inf
+    return math.sqrt(diff) / math.sqrt(denom)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from stpz.cli import _threads, main
-from stpz.codec import Method, deserialize, storage_count
+from stpz.codec import Method, deserialize, serialize, storage_count
+from stpz.decomp import tensor_stp_svd_trunc
 from stpz.imaging import ImageBuffer, load_ppm, save_ppm
 from stpz.synthetic import structured_test_image
 
@@ -162,6 +163,17 @@ class TestExitCodes:
         assert not out.exists()
         assert main(["info", "--input", str(packed)]) == 4
         assert f"offset {sigma_at}" in capsys.readouterr().err
+
+    def test_non_image_container_exit_4(self, tmp_path, capsys):
+        A = np.random.default_rng(0).random((8, 8, 2))
+        packed = tmp_path / "two.stpz"
+        packed.write_bytes(serialize(tensor_stp_svd_trunc(A, 2, 2, [2, 2])))
+        out = tmp_path / "o.ppm"
+        assert main(["decompress", "--input", str(packed), "--output", str(out)]) == 4
+        assert not out.exists()
+        assert "offset 24" in capsys.readouterr().err
+        code, report = run(capsys, "info", "--input", packed)
+        assert code == 0 and report["l"] == 2
 
     def test_corrupt_image_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.ppm"

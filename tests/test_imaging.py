@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stpz import imaging
 from stpz.errors import DimensionError, FormatError
 from stpz.imaging import (
     ImageBuffer,
@@ -49,6 +50,23 @@ def ssim_direct(ref, test):
                 )
         vals.append(np.mean(maps))
     return float(np.mean(vals))
+
+
+def psnr_float(ref, test):
+    """PSNR from float64 sample differences (reference formula)."""
+    diff = ref.samples.astype(np.float64) - test.samples.astype(np.float64)
+    mse = float(np.mean(diff * diff))
+    return math.inf if mse == 0.0 else 10.0 * math.log10(255.0**2 / mse)
+
+
+def relative_error_float(ref, test):
+    """Relative error from float64 norms (reference formula)."""
+    r = ref.samples.astype(np.float64)
+    t = test.samples.astype(np.float64)
+    denom = np.linalg.norm(r.ravel())
+    if denom == 0.0:
+        return 0.0 if np.array_equal(r, t) else math.inf
+    return float(np.linalg.norm((r - t).ravel()) / denom)
 
 
 class TestPpm:
@@ -167,6 +185,28 @@ class TestPsnr:
         assert psnr(ref, one) == psnr(one, ref)
         assert psnr(ref, one) > psnr(ref, two)
 
+    def test_integer_sums_equal_float_formula(self):
+        rng = np.random.default_rng(14)
+        for shape in [(5, 9, 1), (64, 48, 3), (128, 128, 3)]:
+            ref = rand_image(rng, *shape)
+            test = rand_image(rng, *shape)
+            assert psnr(ref, test) == psnr_float(ref, test)
+            assert relative_error(ref, test) == relative_error_float(ref, test)
+
+    def test_largest_sums_equal_float_formula(self):
+        black = ImageBuffer(np.zeros((1024, 1024, 3), dtype=np.uint8))
+        white = ImageBuffer(np.full((1024, 1024, 3), 255, dtype=np.uint8))
+        assert psnr(black, white) == psnr_float(black, white) == 0.0
+        assert relative_error(white, black) == relative_error_float(white, black) == 1.0
+
+    def test_all_zero_reference(self):
+        rng = np.random.default_rng(15)
+        zero = ImageBuffer(np.zeros((6, 5, 3), dtype=np.uint8))
+        other = rand_image(rng, 6, 5, 3)
+        assert relative_error(zero, zero) == relative_error_float(zero, zero) == 0.0
+        assert relative_error(zero, other) == relative_error_float(zero, other) == math.inf
+        assert psnr(zero, other) == psnr_float(zero, other)
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             psnr(
@@ -208,6 +248,35 @@ class TestSsim:
             a = rand_image(rng, 12, 15, 1)
             b = rand_image(rng, 12, 15, 1)
             assert ssim(a, b) <= 1.0
+
+    @pytest.mark.parametrize("shape", [(45, 80, 3), (11, 11, 1), (11, 90, 1)])
+    def test_tiled_pass_matches_direct_formula(self, shape):
+        # 35 x 70 outputs span two row tiles and two column tiles.
+        rng = np.random.default_rng(16)
+        ref = rand_image(rng, *shape)
+        test = ImageBuffer(
+            np.clip(ref.samples + rng.integers(-30, 31, shape), 0, 255).astype(np.uint8)
+        )
+        assert ssim(ref, test) == pytest.approx(ssim_direct(ref, test), abs=1e-9)
+
+    def test_small_tiles_match_direct_formula(self, monkeypatch):
+        monkeypatch.setattr(imaging, "_ROW_TILE", 4)
+        monkeypatch.setattr(imaging, "_COL_TILE", 3)
+        rng = np.random.default_rng(17)
+        ref = rand_image(rng, 21, 24, 3)
+        test = rand_image(rng, 21, 24, 3)
+        assert ssim(ref, test) == pytest.approx(ssim_direct(ref, test), abs=1e-9)
+        assert ssim(ref, ref) == 1.0
+
+    def test_full_size_identity_and_exact_symmetry(self):
+        rng = np.random.default_rng(18)
+        a = rand_image(rng, 512, 512, 3)
+        b = ImageBuffer(
+            np.clip(a.samples + rng.integers(-20, 21, a.samples.shape), 0, 255).astype(np.uint8)
+        )
+        assert ssim(a, a) == 1.0
+        assert ssim(a, b) == ssim(b, a)
+        assert 0.0 < ssim(a, b) < 1.0
 
     def test_too_small(self):
         rng = np.random.default_rng(10)
