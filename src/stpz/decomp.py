@@ -7,7 +7,11 @@ A = (U ⊗ I_m2)(diag(sigma) ⊗ C)(V^H ⊗ I_n2) + E.  The middle factor is
 block-diagonal with blocks sigma_i * C of non-increasing Frobenius norm.
 
 Tensor route: every frontal slice of the mode-3 DFT of the tensor gets the
-matrix treatment.  Factors are kept in this compact Fourier-domain per-slice
+matrix treatment.  The rearrangement permutes entries within a slice and the
+DFT mixes entries across slices, so the two commute: the input is
+rearranged once, in its own dtype (one byte per sample for an image), the
+DFT is taken along the stack of rearranged slices, and each Fourier slice is
+factored in place.  Factors are kept in this compact Fourier-domain per-slice
 form (not expanded to spatial tensors); :func:`reconstruct` applies the
 single inverse DFT at the end.  With the unnormalized DFT, Parseval gives
 ||A||_F^2 = (1/l) * sum_i ||Ahat_i||_F^2, so error aggregates across slices
@@ -23,9 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .nkp import _split, nkp
+from .nkp import _split, nkp, rearrange_slices
 from .svd import _fix_phases, svd, svds
-from .tensor import as_tensor3, conj_transpose, dft3, idft3
+from .tensor import as_array3, as_tensor3, conj_transpose, dft3, idft3
 from .products import t_product
 
 __all__ = [
@@ -119,57 +123,128 @@ def _is_real(A: np.ndarray) -> bool:
     return bool(np.all(A.imag == 0.0))
 
 
-def mat_stp_svd(A, m2: int, n2: int) -> MatStpSvd:
-    """Full matrix decomposition (r = min(m1, n1))."""
-    A = np.asarray(A, dtype=np.complex128)
+def _as_input(A) -> tuple[np.ndarray, bool]:
+    # A as a third-order array, and whether it is real.  A real dtype is
+    # kept, and known to be real without a scan.
+    A = as_array3(A)
+    return A, A.dtype.kind != "c" or _is_real(A)
+
+
+# Twiddle factor sin(2 pi / 3) of the length-3 butterfly, as pocketfft has it.
+_SIN_2PI_3 = 0.8660254037844386
+
+
+def _stack_dft(S: np.ndarray) -> np.ndarray:
+    """Unnormalized DFT along axis 0 of an (l, p, q) stack, as a C-contiguous
+    complex128 stack bitwise equal to :func:`~stpz.tensor.dft3` of the same
+    tubes.
+
+    numpy's FFT pays tens of ns per tube, which dominates for the length-3
+    tubes of an RGB image.  So a real stack with l <= 3 takes pocketfft's
+    own butterfly one plane at a time, in float64, keeping its +-0.0 terms
+    so that signed zeros match too.  Any other stack goes to np.fft.fft in
+    complex128 (which it would otherwise keep in the precision of a float32
+    input).
+    """
+    l = S.shape[0]
+    if S.dtype.kind == "c" or l > 3:
+        return np.fft.fft(np.asarray(S, dtype=np.complex128), axis=0)
+    out = np.empty(S.shape, dtype=np.complex128)
+    re, im = out.real, out.imag
+    im[0] = 0.0
+    if l == 1:
+        re[0] = S[0]
+    elif l == 2:
+        np.add(S[0], S[1], out=re[0], dtype=np.float64)
+        np.subtract(S[0], S[1], out=re[1], dtype=np.float64)
+        im[1] = 0.0
+    else:
+        # t = x1 + x2, c = x0 - t/2, s = -sin(2 pi/3) (x1 - x2); the slices
+        # are x0 + t, (c + 0.0) + (0.0 + s)i and (c - 0.0) + (0.0 - s)i.
+        # c - 0.0 is c bit for bit; c + 0.0 and 0.0 + s turn -0.0 into 0.0.
+        t = np.add(S[1], S[2], dtype=np.float64)
+        np.add(S[0], t, out=re[0], dtype=np.float64)
+        t *= -0.5
+        np.add(S[0], t, out=t, dtype=np.float64)
+        np.add(t, 0.0, out=re[1])
+        re[2] = t
+        d = np.subtract(S[1], S[2], dtype=np.float64)
+        d *= -_SIN_2PI_3
+        np.add(d, 0.0, out=im[1])
+        np.subtract(0.0, d, out=im[2])
+    return out
+
+
+def _fourier_slices(A, m2: int, n2: int) -> tuple[np.ndarray, tuple, bool]:
+    """The STP routes' front end: (Ah, dims, real_input), where Ah[i] is the
+    C-contiguous (m1*n1) x (m2*n2) rearrangement of Fourier slice i of A,
+    bitwise equal to ``rearrange(dft3(A)[:, :, i], m2, n2)``, and dims is
+    (m1, m2, n1, n2, l).  No complex copy of A is made."""
+    A, real = _as_input(A)
+    m, n, l = A.shape
+    m1, n1 = _split(m, n, m2, n2)
+    return _stack_dft(rearrange_slices(A, m2, n2)), (m1, m2, n1, n2, l), real
+
+
+def _matrix_blocks(A, m2: int, n2: int, blocks, name: str) -> tuple[int, int]:
+    # (m1, n1) of a matrix, or the given blocks when A is its rearrangement
+    # (which nkp checks).
+    if blocks is not None:
+        return blocks
+    A = np.asarray(A)
     if A.ndim != 2:
-        raise DimensionError("mat_stp_svd expects a matrix")
-    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
-    factors = nkp(A, m2, n2)
+        raise DimensionError(f"{name} expects a matrix")
+    return _split(A.shape[0], A.shape[1], m2, n2)
+
+
+def mat_stp_svd(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> MatStpSvd:
+    """Full matrix decomposition (r = min(m1, n1)).
+
+    With ``blocks=(m1, n1)``, A is the matrix's rearrangement, which
+    :func:`~stpz.nkp.nkp` may overwrite.
+    """
+    m1, n1 = _matrix_blocks(A, m2, n2, blocks, "mat_stp_svd")
+    factors = nkp(A, m2, n2, blocks=blocks)
     f = svd(factors.B)
     return MatStpSvd(U=f.U, sigma=f.sigma, C=factors.C, V=f.V, dims=(m1, m2, n1, n2))
 
 
-def mat_stp_svd_trunc(A, m2: int, n2: int, r: int) -> MatStpSvd:
-    """Truncated matrix decomposition keeping the leading r blocks."""
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2:
-        raise DimensionError("mat_stp_svd_trunc expects a matrix")
-    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
+def mat_stp_svd_trunc(
+    A, m2: int, n2: int, r: int, *, blocks: tuple[int, int] | None = None
+) -> MatStpSvd:
+    """Truncated matrix decomposition keeping the leading r blocks.
+
+    ``blocks`` is as for :func:`mat_stp_svd`.
+    """
+    m1, n1 = _matrix_blocks(A, m2, n2, blocks, "mat_stp_svd_trunc")
     if not 1 <= r <= min(m1, n1):
         raise DimensionError(f"rank {r} out of range [1, {min(m1, n1)}]")
-    factors = nkp(A, m2, n2)
+    factors = nkp(A, m2, n2, blocks=blocks)
     f = svds(factors.B, r)
     return MatStpSvd(U=f.U, sigma=f.sigma, C=factors.C, V=f.V, dims=(m1, m2, n1, n2))
 
 
 def tensor_stp_svd(A, m2: int, n2: int, threads: int = 1) -> TensorStpSvd:
     """Full tensor decomposition: matrix decomposition of every DFT slice."""
-    A = as_tensor3(A)
-    m, n, l = A.shape
-    m1, n1 = _split(m, n, m2, n2)
-    Ah = dft3(A)
-    slices = _slice_map(lambda i: mat_stp_svd(Ah[:, :, i], m2, n2), l, threads)
-    return TensorStpSvd(
-        slices=slices, dims=(m1, m2, n1, n2, l), real_input=_is_real(A)
+    Ah, dims, real = _fourier_slices(A, m2, n2)
+    m1, _, n1, _, l = dims
+    slices = _slice_map(
+        lambda i: mat_stp_svd(Ah[i], m2, n2, blocks=(m1, n1)), l, threads
     )
+    return TensorStpSvd(slices=slices, dims=dims, real_input=real)
 
 
 def tensor_stp_svd_trunc(
     A, m2: int, n2: int, R: Sequence[int], threads: int = 1
 ) -> TensorStpSvd:
     """Truncated tensor decomposition with per-slice block rank R."""
-    A = as_tensor3(A)
-    m, n, l = A.shape
-    m1, n1 = _split(m, n, m2, n2)
+    Ah, dims, real = _fourier_slices(A, m2, n2)
+    m1, _, n1, _, l = dims
     R = _check_block_rank(R, l, min(m1, n1))
-    Ah = dft3(A)
     slices = _slice_map(
-        lambda i: mat_stp_svd_trunc(Ah[:, :, i], m2, n2, R[i]), l, threads
+        lambda i: mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)), l, threads
     )
-    return TensorStpSvd(
-        slices=slices, dims=(m1, m2, n1, n2, l), real_input=_is_real(A)
-    )
+    return TensorStpSvd(slices=slices, dims=dims, real_input=real)
 
 
 def t_svd(A, threads: int = 1) -> TSvdFactors:
@@ -211,11 +286,12 @@ def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
     The self-conjugate slices (0, and n3/2 for even n3) are real and go to
     the real SVD.
     """
-    A = as_tensor3(A)
+    A, real = _as_input(A)
     n1, n2, n3 = A.shape
     R = _check_block_rank(R, n3, min(n1, n2))
     rmax = max(R)
-    Ah = dft3(A)
+    # Ah[i] is DFT slice i.
+    Ah = _stack_dft(np.ascontiguousarray(np.moveaxis(A, 2, 0)))
     Uh = np.zeros((n1, rmax, n3), dtype=np.complex128)
     Sh = np.zeros((rmax, rmax, n3), dtype=np.complex128)
     Vh = np.zeros((n2, rmax, n3), dtype=np.complex128)
@@ -226,12 +302,12 @@ def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
         Sh[:r, :r, i] = np.diag(sigma[:r])
         Vh[:, :r, i] = V[:, :r]
 
-    if _is_real(A):
+    if real:
         def work(i: int):
             j = -i % n3
             if i == j:
-                return svds(Ah[:, :, i].real, R[i])
-            return svds(Ah[:, :, i], max(R[i], R[j]))
+                return svds(Ah[i].real, R[i])
+            return svds(Ah[i], max(R[i], R[j]))
 
         for i, f in enumerate(_slice_map(work, n3 // 2 + 1, threads)):
             put(i, f.U, f.sigma, f.V)
@@ -239,7 +315,7 @@ def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
             if j != i:
                 put(j, f.U.conj(), f.sigma, f.V.conj())
     else:
-        for i, f in enumerate(_slice_map(lambda i: svds(Ah[:, :, i], R[i]), n3, threads)):
+        for i, f in enumerate(_slice_map(lambda i: svds(Ah[i], R[i]), n3, threads)):
             put(i, f.U, f.sigma, f.V)
     return TSvdFactors(U=idft3(Uh), S=idft3(Sh), V=idft3(Vh))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .tensor import as_tensor3
+from .tensor import as_array3
 
 __all__ = [
     "ImageBuffer",
@@ -140,14 +140,15 @@ def image_to_tensor(img: ImageBuffer) -> np.ndarray:
 def tensor_to_image(A) -> ImageBuffer:
     """Inverse of :func:`image_to_tensor` for tensors with 1 or 3 slices.
 
-    The real part is clamped to [0, 255] and rounded half away from zero;
-    imaginary parts above 1e-6 in modulus set ``imag_warning``.
+    The real part is clamped to [0, 255] and rounded half away from zero,
+    in float64; imaginary parts above 1e-6 in modulus set ``imag_warning``.
+    A real tensor is taken as it is, with no complex copy.
     """
-    A = as_tensor3(A)
+    A = as_array3(A)
     if A.shape[2] not in (1, 3):
         raise DimensionError(f"expected 1 or 3 slices, got {A.shape[2]}")
-    warn = bool(np.max(np.abs(A.imag)) > _IMAG_TOL) if A.size else False
-    x = np.clip(A.real, 0.0, 255.0)
+    warn = A.dtype.kind == "c" and bool(np.max(np.abs(A.imag)) > _IMAG_TOL)
+    x = np.clip(A.real.astype(np.float64, copy=False), 0.0, 255.0)
     x += 0.5
     np.floor(x, out=x)
     samples = x.astype(np.uint8)

@@ -2,7 +2,9 @@
 
 ``rearrange`` reshapes an (m1*m2) x (n1*n2) matrix into an
 (m1*n1) x (m2*n2) matrix whose rank-1 structure corresponds to exact
-Kronecker structure of the input; ``nkp`` takes its leading singular triplet
+Kronecker structure of the input; ``rearrange_slices`` does the same for
+every frontal slice of a third-order array at once, in its own dtype.
+``nkp`` takes the leading singular triplet of the rearrangement
 to produce the Frobenius-optimal factor pair (B, C) with A ≈ B ⊗ C.  The
 triplet comes from the Lanczos solver :func:`~stpz.svd.leading_triplet`.
 The dense :func:`~stpz.svd.svd` is used instead for small rearrangements,
@@ -15,6 +17,7 @@ too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import DimensionError
 from .svd import leading_triplet, svd
 
-__all__ = ["KronFactors", "rearrange", "nkp"]
+__all__ = ["KronFactors", "rearrange", "rearrange_slices", "nkp"]
 
 # Dense-SVD work m * n * min(m, n) of an m x n rearrangement up to which the
 # dense SVD is used directly: below it, the per-step cost of the Lanczos
@@ -30,6 +33,9 @@ __all__ = ["KronFactors", "rearrange", "nkp"]
 # median of 41 calls on textured image slices: 256 x 16 takes 0.65 ms dense
 # against 1.0 ms Lanczos, 36 x 64 takes 1.0 ms dense against 0.7 ms.
 _DENSE_WORK = 1 << 16
+# Complex entries per row block of the residual pass (256 KiB), so that each
+# block's outer product stays in cache.
+_RESIDUAL_BLOCK = 1 << 14
 
 
 @dataclass
@@ -54,25 +60,49 @@ def _split(rows: int, cols: int, m2: int, n2: int) -> tuple[int, int]:
     return rows // m2, cols // n2
 
 
-def rearrange(A, m2: int, n2: int) -> np.ndarray:
-    """Rearrangement of A into an (m1*n1) x (m2*n2) matrix.
+def rearrange_slices(A, m2: int, n2: int) -> np.ndarray:
+    """Rearrangement of every frontal slice of an (m1*m2) x (n1*n2) x l array.
 
-    Row (j*m1 + i) is the column-major vec of the m2 x n2 block (i, j) of A,
-    i.e. blocks are enumerated j-major.  The map is an isometry:
-    ||rearrange(A)||_F == ||A||_F.
+    Returns a C-contiguous (l, m1*n1, m2*n2) stack in A's dtype whose entry
+    k is the rearrangement of ``A[:, :, k]``: its row (j*m1 + i) is the
+    column-major vec of the m2 x n2 block (i, j), i.e. blocks are enumerated
+    j-major.  The map only permutes entries, so it commutes with any
+    transform along the slice axis, and ||rearrange(M)||_F == ||M||_F.
+    The result never aliases A.
     """
-    src = A
+    A = np.asarray(A)
+    if A.ndim != 3:
+        raise DimensionError("rearrange_slices expects a third-order array")
+    m, n, l = A.shape
+    m1, n1 = _split(m, n, m2, n2)
+    S = A.reshape(m1, m2, n1, n2, l).transpose(4, 2, 0, 3, 1).reshape(l, m1 * n1, m2 * n2)
+    # The reshape copies unless the blocks already line up (for example a
+    # Fortran-ordered matrix with m1 = n1 = 1).
+    return S.copy() if np.may_share_memory(S, A) else S
+
+
+def rearrange(A, m2: int, n2: int) -> np.ndarray:
+    """Rearrangement of a matrix A into an (m1*n1) x (m2*n2) complex matrix,
+    as :func:`rearrange_slices` gives it for one slice."""
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:
         raise DimensionError("rearrange expects a matrix")
-    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
-    R = A.reshape(m1, m2, n1, n2).transpose(2, 0, 3, 1).reshape(m1 * n1, m2 * n2)
-    # The reshape copies unless the blocks already line up (for example a
-    # Fortran-ordered A with m1 = n1 = 1); the result never aliases src.
-    return R.copy() if np.may_share_memory(R, src) else R
+    return rearrange_slices(A[:, :, None], m2, n2)[0]
 
 
-def nkp(A, m2: int, n2: int) -> KronFactors:
+def _rank_one_residual(R: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    # ||R - b c^T||_F, subtracting in place one block of rows at a time, so
+    # no R-sized outer product is ever built; R is overwritten.
+    rows = max(1, _RESIDUAL_BLOCK // R.shape[1])
+    total = 0.0
+    for s in range(0, R.shape[0], rows):
+        blk = R[s : s + rows]
+        blk -= np.outer(b[s : s + rows], c)
+        total += np.vdot(blk, blk).real
+    return math.sqrt(total)
+
+
+def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFactors:
     """Factor pair minimizing ||A - B ⊗ C||_F over m1 x n1 / m2 x n2 pairs.
 
     vec(B) and vec(C) are sqrt(s1) times the leading left/right singular
@@ -81,10 +111,22 @@ def nkp(A, m2: int, n2: int) -> KronFactors:
     input is built so that v1 is orthogonal to the solver's fixed start
     (see :func:`~stpz.svd.leading_triplet`); ``residual`` is the norm of
     A - B ⊗ C for the returned pair either way.
+
+    With ``blocks=(m1, n1)``, A is not the matrix but its (m1*n1) x (m2*n2)
+    rearrangement, as :func:`rearrange` or :func:`rearrange_slices` give
+    it, and nkp may overwrite it.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
-    R = rearrange(A, m2, n2)
+    if blocks is None:
+        A = np.asarray(A, dtype=np.complex128)
+        m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
+        R = rearrange(A, m2, n2)
+    else:
+        m1, n1 = blocks
+        R = np.asarray(A, dtype=np.complex128)
+        if R.shape != (m1 * n1, m2 * n2):
+            raise DimensionError(
+                f"rearrangement shape {R.shape} is not {(m1 * n1, m2 * n2)}"
+            )
     f = leading_triplet(R) if R.size * min(R.shape) > _DENSE_WORK else None
     if f is None:
         f = svd(R)
@@ -95,8 +137,8 @@ def nkp(A, m2: int, n2: int) -> KronFactors:
     # the conjugated right vector (a no-op for real data).
     C = (s1 * np.conj(f.V[:, 0])).reshape((m2, n2), order="F")
     # rearrange only permutes entries, so ||A - B ⊗ C||_F is the norm of
-    # R - vec(B) vec(C)^T; R is this call's own copy.  Taking the norm of the
-    # difference keeps the residual accurate near exact Kronecker structure,
-    # where sqrt(||A||^2 - s1^2) would cancel.
-    R -= np.outer(B.ravel(order="F"), C.ravel(order="F"))
-    return KronFactors(B=B, C=C, residual=float(np.linalg.norm(R)))
+    # R - vec(B) vec(C)^T.  Taking the norm of the difference keeps the
+    # residual accurate near exact Kronecker structure, where
+    # sqrt(||A||^2 - s1^2) would cancel.
+    residual = _rank_one_residual(R, B.ravel(order="F"), C.ravel(order="F"))
+    return KronFactors(B=B, C=C, residual=residual)

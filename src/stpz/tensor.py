@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DimensionError
 
 __all__ = [
+    "as_array3",
     "as_tensor3",
     "frontal_slice",
     "unfold",
@@ -35,14 +36,22 @@ __all__ = [
 ]
 
 
-def as_tensor3(a) -> np.ndarray:
-    """Coerce ``a`` to a complex128 tensor of shape (n1, n2, n3)."""
-    t = np.asarray(a, dtype=np.complex128)
+def as_array3(a) -> np.ndarray:
+    """Coerce ``a`` to an array of shape (n1, n2, n3) that keeps a real dtype
+    (bool, integer or floating) as it is and makes any other complex128."""
+    t = np.asarray(a)
+    if t.dtype.kind not in "biuf":
+        t = np.asarray(t, dtype=np.complex128)
     if t.ndim != 3:
         raise DimensionError(f"expected a third-order tensor, got ndim={t.ndim}")
     if min(t.shape) < 1:
         raise DimensionError(f"tensor extents must be positive, got {t.shape}")
     return t
+
+
+def as_tensor3(a) -> np.ndarray:
+    """Coerce ``a`` to a complex128 tensor of shape (n1, n2, n3)."""
+    return np.asarray(as_array3(a), dtype=np.complex128)
 
 
 def frontal_slice(A, k: int) -> np.ndarray:

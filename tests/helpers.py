@@ -16,6 +16,15 @@ def with_spectrum(rng, m, n, sigma):
     return (U * sigma) @ V.conj().T
 
 
+def same_bytes(a, b) -> bool:
+    """True iff a and b have the same dtype, shape and bytes.
+
+    Unlike np.array_equal, this tells -0.0 from +0.0 (and compares NaNs).
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def rel_err(actual, expected) -> float:
     """Frobenius relative error of actual vs expected."""
     a = np.asarray(actual, dtype=np.complex128)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import cplx, rel_err
+from helpers import cplx, rel_err, same_bytes
+from stpz.codec import serialize
 from stpz.decomp import (
     error_bound_matrix,
     error_bound_tensor,
@@ -439,3 +440,112 @@ class TestErrorBounds:
             F = tensor_stp_svd_trunc(A, 2, 2, R)
             err = frobenius_norm(A - reconstruct(F))
             assert err <= error_bound_tensor(A, 2, 2, R) + 1e-9 * frobenius_norm(A)
+
+
+def textured_samples(rng, m, n, l, equal_channels=False):
+    """uint8 image samples: a low-rank Kronecker structure plus noise, with
+    the DFT slices of a real photo-like input."""
+    base = np.kron(rng.uniform(0, 1, (m // 8, n // 8)), rng.uniform(0, 1, (8, 8)))
+    planes = [200 * base + rng.normal(0, 6, (m, n)) for _ in range(l)]
+    if equal_channels:
+        planes = [planes[0]] * l
+    return np.clip(np.rint(np.stack(planes, axis=2)), 0, 255).astype(np.uint8)
+
+
+class TestFourierFrontEnd:
+    """The STP routes' front end (rearrange once in the input's dtype, then
+    the DFT along the stack) against the reference dft3 and rearrange."""
+
+    @given(
+        l=st.integers(1, 6),
+        m1=st.integers(1, 3),
+        m2=st.integers(1, 3),
+        n1=st.integers(1, 3),
+        n2=st.integers(1, 3),
+        dtype=st.sampled_from(["uint8", "uint8-equal", "float32", "float64", "complex128"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_slices_have_the_bytes_of_dft3(self, l, m1, m2, n1, n2, dtype, seed):
+        rng = np.random.default_rng(seed)
+        shape = (m1 * m2, n1 * n2, l)
+        if dtype.startswith("uint8"):
+            A = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            if dtype == "uint8-equal":
+                # x1 == x2 gives s = 0, where conjugating slice 1 would
+                # write -0.0 for dft3's +0.0.
+                A[:, :, 1:] = A[:, :, :1]
+        elif dtype.startswith("float"):
+            # Signed zeros, so that every +-0.0 term of the butterfly shows;
+            # float32 must still be transformed in double precision.
+            A = rng.choice(np.array([0.0, -0.0, 1.5, -2.25, np.pi]), size=shape).astype(dtype)
+        else:
+            A = rng.normal(size=shape) + 1j * rng.choice(np.array([0.0, -0.0, 1.0]), size=shape)
+        Ah, dims, real = decomp_module._fourier_slices(A, m2, n2)
+        assert dims == (m1, m2, n1, n2, l)
+        assert real == bool(np.all(np.imag(A) == 0))
+        ref = dft3(A)
+        assert Ah.shape == (l, m1 * n1, m2 * n2)
+        for i in range(l):
+            assert Ah[i].flags.c_contiguous
+            assert same_bytes(Ah[i], rearrange(ref[:, :, i], m2, n2))
+
+    @pytest.mark.parametrize("l", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_samples_give_the_container_of_complex_input(self, l, threads):
+        # 128 x 128 with 8 x 8 blocks rearranges to 256 x 64: the Lanczos side
+        # of nkp.  The complex copy takes np.fft.fft, the samples the butterfly.
+        rng = np.random.default_rng(40 + l)
+        A = textured_samples(rng, 128, 128, l)
+        R = [6] * l
+        got = serialize(tensor_stp_svd_trunc(A, 8, 8, R, threads=threads))
+        want = serialize(tensor_stp_svd_trunc(A.astype(np.complex128), 8, 8, R, threads=threads))
+        assert got == want
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_t_svd_trunc_samples_give_the_factors_of_complex_input(self, l):
+        rng = np.random.default_rng(50 + l)
+        A = textured_samples(rng, 32, 24, l, equal_channels=(l == 3))
+        R = [5, 3, 4][:l]
+        got, want = t_svd_trunc(A, R), t_svd_trunc(A.astype(np.complex128), R)
+        for name in ("U", "S", "V"):
+            assert same_bytes(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float32, np.float64])
+    def test_real_dtypes_never_scan_for_imaginary_parts(self, monkeypatch, dtype):
+        def scan(A):
+            raise AssertionError("_is_real called on a real dtype")
+
+        monkeypatch.setattr(decomp_module, "_is_real", scan)
+        rng = np.random.default_rng(60)
+        A = rng.integers(0, 2 if dtype is np.bool_ else 200, size=(8, 6, 3)).astype(dtype)
+        assert tensor_stp_svd_trunc(A, 2, 2, [2, 2, 2]).real_input
+        assert tensor_stp_svd(A, 2, 2).real_input
+        t_svd_trunc(A, [2, 2, 2])
+
+    def test_object_arrays_of_complex_numbers_still_work(self):
+        # An object dtype goes through complex128 and the scan for imaginary
+        # parts, so object arrays of real-valued complex numbers count as real.
+        rng = np.random.default_rng(61)
+        A = cplx(rng, 6, 4, 3)
+        for B, real in ((A, False), (A.real + 0j, True)):
+            Bo = B.astype(object)
+            assert isinstance(Bo[0, 0, 0], complex)
+            F, G = tensor_stp_svd_trunc(Bo, 2, 2, [2, 2, 2]), tensor_stp_svd_trunc(B, 2, 2, [2, 2, 2])
+            assert F.real_input == G.real_input == real
+            assert serialize(F) == serialize(G)
+            T, U = t_svd_trunc(Bo, [2, 2, 2]), t_svd_trunc(B, [2, 2, 2])
+            assert same_bytes(T.U, U.U) and same_bytes(T.S, U.S) and same_bytes(T.V, U.V)
+
+    def test_matrix_routes_take_a_rearranged_slice(self):
+        rng = np.random.default_rng(62)
+        A = cplx(rng, 12, 10)
+        for fn, args in ((mat_stp_svd, ()), (mat_stp_svd_trunc, (2,))):
+            want = fn(A, 3, 2, *args)
+            R = rearrange(A, 3, 2)
+            got = fn(R, 3, 2, *args, blocks=(4, 5))
+            assert got.dims == want.dims == (4, 3, 5, 2)
+            for name in ("U", "sigma", "C", "V"):
+                assert same_bytes(getattr(got, name), getattr(want, name))
+        with pytest.raises(DimensionError):
+            mat_stp_svd(rearrange(A, 3, 2), 3, 2, blocks=(3, 5))

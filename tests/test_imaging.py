@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import same_bytes
 from stpz import imaging
 from stpz.errors import DimensionError, FormatError
 from stpz.imaging import (
@@ -157,6 +158,20 @@ class TestTensorConversion:
     def test_unsupported_channels(self):
         with pytest.raises(DimensionError):
             tensor_to_image(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+    def test_real_tensor_gives_the_samples_of_its_complex_copy(self, dtype):
+        # Real input skips the complex cast and the imaginary-part check; the
+        # rounding stays in float64 whatever the input's precision.
+        rng = np.random.default_rng(3)
+        A = rng.uniform(-20.0, 275.0, size=(7, 9, 3))
+        A[0, :4, 0] = [0.49999997, 254.5, 127.5, -0.0]
+        A = A.astype(dtype)
+        got, want = tensor_to_image(A), tensor_to_image(A.astype(np.complex128))
+        assert same_bytes(got.samples, want.samples)
+        assert not got.imag_warning and not want.imag_warning
+        with pytest.raises(DimensionError):
+            tensor_to_image(A[:, :, 0])
 
 
 class TestPsnr:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cplx, rel_err, with_spectrum
+from helpers import cplx, rel_err, same_bytes, with_spectrum
 from stpz.errors import DimensionError
-from stpz.nkp import nkp, rearrange
+from stpz.nkp import nkp, rearrange, rearrange_slices
 from stpz.svd import svd
 
 # The package re-exports the function stpz.nkp, so the module is looked up
@@ -107,6 +107,31 @@ class TestRearrange:
         lhs = np.linalg.norm(A - np.kron(B, C))
         rhs = np.linalg.norm(rearrange(A, m2, n2) - np.outer(vec(B), vec(C)))
         assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1.0)
+
+
+class TestRearrangeSlices:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64, np.complex128])
+    def test_each_slice_is_rearranged_in_the_input_dtype(self, dtype):
+        rng = np.random.default_rng(20)
+        A = rng.integers(0, 256, size=(6, 8, 3)).astype(dtype)
+        S = rearrange_slices(A, 3, 2)
+        assert S.dtype == dtype and S.shape == (3, 8, 6) and S.flags.c_contiguous
+        for k in range(3):
+            assert same_bytes(S[k].astype(np.complex128), rearrange(A[:, :, k], 3, 2))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_never_aliases_input(self, order):
+        # With m1 = n1 = 1 the reshape of a Fortran-ordered array is a view.
+        A = np.array(np.arange(24.0).reshape(3, 4, 2), order=order)
+        S = rearrange_slices(A, 3, 4)
+        assert not np.shares_memory(S, A)
+        assert S.flags.c_contiguous
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            rearrange_slices(np.zeros((4, 4)), 2, 2)
+        with pytest.raises(DimensionError):
+            rearrange_slices(np.zeros((4, 4, 2)), 3, 2)
 
 
 class TestNkp:
@@ -232,3 +257,38 @@ class TestNkp:
         assert np.array_equal(f.B, (s1 * d.U[:, 0]).reshape((k, k), order="F"))
         assert np.array_equal(f.C, (s1 * np.conj(d.V[:, 0])).reshape((k, k), order="F"))
         assert f.residual == pytest.approx(np.linalg.norm(d.sigma[1:]), rel=1e-12)
+
+
+class TestRearrangedInput:
+    def test_blocks_give_the_same_factors_and_may_overwrite(self):
+        rng = np.random.default_rng(30)
+        A = cplx(rng, 24, 40)
+        want = nkp(A, 4, 5)
+        R = rearrange(A, 4, 5)
+        got = nkp(R, 4, 5, blocks=(6, 8))
+        assert same_bytes(got.B, want.B) and same_bytes(got.C, want.C)
+        assert got.residual == pytest.approx(want.residual, rel=1e-12)
+
+    def test_blocks_must_match_the_rearrangement(self):
+        R = np.zeros((12, 6), dtype=np.complex128)
+        with pytest.raises(DimensionError):
+            nkp(R, 2, 3, blocks=(3, 3))
+
+    def test_blocked_residual_matches_the_kron_difference(self):
+        # 41 * 100 = 4100 rows of 4 columns: blocks of 4096 rows and a
+        # partial one of 4.
+        rng = np.random.default_rng(31)
+        A = np.kron(cplx(rng, 41, 100), cplx(rng, 2, 2)) + 0.1 * cplx(rng, 82, 200)
+        assert (41 * 100) % (nkp_module._RESIDUAL_BLOCK // 4) != 0
+        f = nkp(A, 2, 2)
+        assert f.residual == pytest.approx(np.linalg.norm(A - np.kron(f.B, f.C)), rel=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 5, 12, 10**6])
+    def test_residual_for_any_row_block(self, monkeypatch, block):
+        # 35 rows of 6 columns: one row per block, partial blocks, and one
+        # block for everything.
+        monkeypatch.setattr(nkp_module, "_RESIDUAL_BLOCK", block)
+        rng = np.random.default_rng(32)
+        A = cplx(rng, 15, 14)
+        f = nkp(A, 3, 2)
+        assert f.residual == pytest.approx(np.linalg.norm(A - np.kron(f.B, f.C)), rel=1e-12)
