@@ -140,24 +140,20 @@ def _stack_dft(S: np.ndarray) -> np.ndarray:
     tubes.
 
     numpy's FFT pays tens of ns per tube, which dominates for the length-3
-    tubes of an RGB image.  So a real stack with l <= 3 takes pocketfft's
-    own butterfly one plane at a time, in float64, keeping its +-0.0 terms
-    so that signed zeros match too.  Any other stack goes to np.fft.fft in
-    complex128 (which it would otherwise keep in the precision of a float32
-    input).
+    tubes of an RGB image.  So a real stack of one or three slices (a gray
+    or an RGB image) takes pocketfft's own butterfly one plane at a time, in
+    float64, keeping its +-0.0 terms so that signed zeros match too.  Any
+    other stack goes to np.fft.fft in complex128 (which it would otherwise
+    keep in the precision of a float32 input).
     """
     l = S.shape[0]
-    if S.dtype.kind == "c" or l > 3:
+    if S.dtype.kind == "c" or l not in (1, 3):
         return np.fft.fft(np.asarray(S, dtype=np.complex128), axis=0)
     out = np.empty(S.shape, dtype=np.complex128)
     re, im = out.real, out.imag
     im[0] = 0.0
     if l == 1:
         re[0] = S[0]
-    elif l == 2:
-        np.add(S[0], S[1], out=re[0], dtype=np.float64)
-        np.subtract(S[0], S[1], out=re[1], dtype=np.float64)
-        im[1] = 0.0
     else:
         # t = x1 + x2, c = x0 - t/2, s = -sin(2 pi/3) (x1 - x2); the slices
         # are x0 + t, (c + 0.0) + (0.0 + s)i and (c - 0.0) + (0.0 - s)i.
@@ -200,8 +196,10 @@ def _matrix_blocks(A, m2: int, n2: int, blocks, name: str) -> tuple[int, int]:
 def mat_stp_svd(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> MatStpSvd:
     """Full matrix decomposition (r = min(m1, n1)).
 
-    With ``blocks=(m1, n1)``, A is the matrix's rearrangement, which
-    :func:`~stpz.nkp.nkp` may overwrite.
+    With ``blocks=(m1, n1)``, A is the matrix's rearrangement, and blocks
+    must be the matrix's exact (m1, n1) pair, which the rearrangement's
+    shape cannot check; a complex128 A is overwritten (see
+    :func:`~stpz.nkp.nkp`).
     """
     m1, n1 = _matrix_blocks(A, m2, n2, blocks, "mat_stp_svd")
     factors = nkp(A, m2, n2, blocks=blocks)

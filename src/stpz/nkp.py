@@ -17,7 +17,6 @@ too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,6 @@ __all__ = ["KronFactors", "rearrange", "rearrange_slices", "nkp"]
 # median of 41 calls on textured image slices: 256 x 16 takes 0.65 ms dense
 # against 1.0 ms Lanczos, 36 x 64 takes 1.0 ms dense against 0.7 ms.
 _DENSE_WORK = 1 << 16
-# Complex entries per row block of the residual pass (256 KiB), so that each
-# block's outer product stays in cache.
-_RESIDUAL_BLOCK = 1 << 14
 
 
 @dataclass
@@ -90,18 +86,6 @@ def rearrange(A, m2: int, n2: int) -> np.ndarray:
     return rearrange_slices(A[:, :, None], m2, n2)[0]
 
 
-def _rank_one_residual(R: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    # ||R - b c^T||_F, subtracting in place one block of rows at a time, so
-    # no R-sized outer product is ever built; R is overwritten.
-    rows = max(1, _RESIDUAL_BLOCK // R.shape[1])
-    total = 0.0
-    for s in range(0, R.shape[0], rows):
-        blk = R[s : s + rows]
-        blk -= np.outer(b[s : s + rows], c)
-        total += np.vdot(blk, blk).real
-    return math.sqrt(total)
-
-
 def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFactors:
     """Factor pair minimizing ||A - B ⊗ C||_F over m1 x n1 / m2 x n2 pairs.
 
@@ -114,7 +98,10 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
 
     With ``blocks=(m1, n1)``, A is not the matrix but its (m1*n1) x (m2*n2)
     rearrangement, as :func:`rearrange` or :func:`rearrange_slices` give
-    it, and nkp may overwrite it.
+    it.  The rearrangement's shape fixes only the products m1*n1 and m2*n2,
+    so blocks must be the exact (m1, n1) pair of the matrix: a swapped pair,
+    or any other pair with the same product, is not detected and gives a B
+    of that shape.  A complex128 A is used in place and overwritten.
     """
     if blocks is None:
         A = np.asarray(A, dtype=np.complex128)
@@ -137,8 +124,9 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     # the conjugated right vector (a no-op for real data).
     C = (s1 * np.conj(f.V[:, 0])).reshape((m2, n2), order="F")
     # rearrange only permutes entries, so ||A - B ⊗ C||_F is the norm of
-    # R - vec(B) vec(C)^T.  Taking the norm of the difference keeps the
-    # residual accurate near exact Kronecker structure, where
+    # R - vec(B) vec(C)^T, taken in R (this call's copy, or the caller's
+    # rearrangement given with blocks).  Taking the norm of the difference
+    # keeps the residual accurate near exact Kronecker structure, where
     # sqrt(||A||^2 - s1^2) would cancel.
-    residual = _rank_one_residual(R, B.ravel(order="F"), C.ravel(order="F"))
-    return KronFactors(B=B, C=C, residual=residual)
+    R -= np.outer(B.ravel(order="F"), C.ravel(order="F"))
+    return KronFactors(B=B, C=C, residual=float(np.linalg.norm(R)))

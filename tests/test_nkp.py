@@ -274,21 +274,9 @@ class TestRearrangedInput:
         with pytest.raises(DimensionError):
             nkp(R, 2, 3, blocks=(3, 3))
 
-    def test_blocked_residual_matches_the_kron_difference(self):
-        # 41 * 100 = 4100 rows of 4 columns: blocks of 4096 rows and a
-        # partial one of 4.
+    def test_in_place_residual_matches_the_kron_difference(self):
         rng = np.random.default_rng(31)
         A = np.kron(cplx(rng, 41, 100), cplx(rng, 2, 2)) + 0.1 * cplx(rng, 82, 200)
-        assert (41 * 100) % (nkp_module._RESIDUAL_BLOCK // 4) != 0
-        f = nkp(A, 2, 2)
-        assert f.residual == pytest.approx(np.linalg.norm(A - np.kron(f.B, f.C)), rel=1e-12)
-
-    @pytest.mark.parametrize("block", [1, 5, 12, 10**6])
-    def test_residual_for_any_row_block(self, monkeypatch, block):
-        # 35 rows of 6 columns: one row per block, partial blocks, and one
-        # block for everything.
-        monkeypatch.setattr(nkp_module, "_RESIDUAL_BLOCK", block)
-        rng = np.random.default_rng(32)
-        A = cplx(rng, 15, 14)
-        f = nkp(A, 3, 2)
+        R = rearrange(A, 2, 2)
+        f = nkp(R, 2, 2, blocks=(41, 100))
         assert f.residual == pytest.approx(np.linalg.norm(A - np.kron(f.B, f.C)), rel=1e-12)
