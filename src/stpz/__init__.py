@@ -14,6 +14,7 @@ from .decomp import (
     MatStpSvd,
     TensorStpSvd,
     TSvdFactors,
+    decode_samples,
     error_bound_matrix,
     error_bound_tensor,
     mat_stp_svd,

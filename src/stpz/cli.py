@@ -1,9 +1,12 @@
 """Command-line interface: compress, decompress, metrics, bench, info.
 
 JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-2 dimension/validation error, 3 I/O error, 4 malformed file.  The
-STPZ_THREADS environment variable caps per-slice parallelism (0 or unset =
-one worker per CPU, at most one per slice).
+2 dimension/validation error, 3 I/O error, 4 malformed file or numerical
+failure (including a container whose reconstruction overflows), 5 out of
+memory; each prints one ``error:`` line on stderr.  Any other exception is a
+bug and exits 1 with a traceback.  The STPZ_THREADS environment variable
+caps per-slice parallelism (0 or unset = one worker per CPU, at most one per
+slice).
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .codec import Method, deserialize, serialize, storage_count
-from .decomp import reconstruct, t_svd_trunc, tensor_stp_svd_trunc
-from .errors import DimensionError, FormatError
+from .decomp import decode_samples, reconstruct, t_svd_trunc, tensor_stp_svd_trunc
+from .errors import DimensionError, FormatError, NumericError
 # image_to_tensor is no longer called here: the decompositions take the
 # uint8 samples.  perfbench's tracer still wraps it as cli.image_to_tensor.
 from .imaging import (  # noqa: F401
+    IMAG_TOL,
     ImageBuffer,
     image_to_tensor,
     load_ppm,
@@ -163,10 +167,12 @@ def cmd_decompress(args) -> int:
     if l not in (1, 3):
         # 24 is the byte offset of the container's l field.
         raise FormatError(f"container has {l} slices; an image needs 1 or 3", 24)
-    img = tensor_to_image(reconstruct(F))
+    samples, residue = decode_samples(F)
+    img = ImageBuffer(samples, imag_warning=residue > IMAG_TOL)
     if img.imag_warning:
         print("warning: reconstruction had non-negligible imaginary part", file=sys.stderr)
     _write_bytes(args.output, save_ppm(img))
+    _emit({"imag_residue": residue, "imag_warning": img.imag_warning})
     return 0
 
 
@@ -297,7 +303,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except DimensionError as exc:
@@ -306,6 +312,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -13,20 +13,22 @@ rearranged once, in its own dtype (one byte per sample for an image), the
 DFT is taken along the stack of rearranged slices, and each Fourier slice is
 factored in place.  Factors are kept in this compact Fourier-domain per-slice
 form (not expanded to spatial tensors); :func:`reconstruct` applies the
-single inverse DFT at the end.  With the unnormalized DFT, Parseval gives
-||A||_F^2 = (1/l) * sum_i ||Ahat_i||_F^2, so error aggregates across slices
-carry an explicit 1/sqrt(l).
+single inverse DFT at the end, and :func:`decode_samples` takes an image's
+8-bit samples straight from the factors.  With the unnormalized DFT,
+Parseval gives ||A||_F^2 = (1/l) * sum_i ||Ahat_i||_F^2, so error aggregates
+across slices carry an explicit 1/sqrt(l).
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, FormatError
 from .nkp import _split, nkp, rearrange_slices
 from .svd import _fix_phases, svd, svds
 from .tensor import as_array3, as_tensor3, conj_transpose, dft3, idft3
@@ -43,6 +45,7 @@ __all__ = [
     "t_svd",
     "t_svd_trunc",
     "reconstruct",
+    "decode_samples",
     "error_bound_matrix",
     "error_bound_tensor",
 ]
@@ -318,6 +321,17 @@ def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
     return TSvdFactors(U=idft3(Uh), S=idft3(Sh), V=idft3(Vh))
 
 
+def _check_slices(F: TensorStpSvd) -> None:
+    m1, m2, n1, n2, l = F.dims
+    if len(F.slices) != l:
+        raise DimensionError(f"expected {l} slices, found {len(F.slices)}")
+    for i, s in enumerate(F.slices):
+        if s.dims != (m1, m2, n1, n2):
+            raise DimensionError(
+                f"slice {i} dims {s.dims} differ from {(m1, m2, n1, n2)}"
+            )
+
+
 def _reconstruct_mat_slice(s: MatStpSvd) -> np.ndarray:
     # (U ⊗ I)(diag(sigma) ⊗ C)(V^H ⊗ I) collapses to (U diag(sigma) V^H) ⊗ C.
     B = (s.U * s.sigma) @ s.V.conj().T
@@ -336,15 +350,10 @@ def reconstruct(F, drop_imag: bool = False):
     if isinstance(F, MatStpSvd):
         out = _reconstruct_mat_slice(F)
     elif isinstance(F, TensorStpSvd):
+        _check_slices(F)
         m1, m2, n1, n2, l = F.dims
-        if len(F.slices) != l:
-            raise DimensionError(f"expected {l} slices, found {len(F.slices)}")
         out = np.empty((m1 * m2, n1 * n2, l), dtype=np.complex128)
         for i, s in enumerate(F.slices):
-            if s.dims != (m1, m2, n1, n2):
-                raise DimensionError(
-                    f"slice {i} dims {s.dims} differ from {(m1, m2, n1, n2)}"
-                )
             out[:, :, i] = _reconstruct_mat_slice(s)
         out = idft3(out)
     elif isinstance(F, TSvdFactors):
@@ -352,6 +361,82 @@ def reconstruct(F, drop_imag: bool = False):
     else:
         raise TypeError(f"cannot reconstruct from {type(F).__name__}")
     return out.real.copy() if drop_imag else out
+
+
+def _idft_weights(l: int) -> np.ndarray:
+    # w[k, j] = omega^(jk) / l with omega = exp(2 pi i / l), the weight of
+    # Fourier slice j in spatial slice k; l = 3 takes the exact -0.5 and
+    # pocketfft's sin(2 pi / 3).
+    if l == 1:
+        return np.ones((1, 1), dtype=np.complex128)
+    jk = np.outer(np.arange(3), np.arange(3)) % 3
+    cos = np.array([1.0, -0.5, -0.5])[jk]
+    sin = np.array([0.0, _SIN_2PI_3, -_SIN_2PI_3])[jk]
+    return (cos + 1j * sin) * (1.0 / 3.0)
+
+
+def _decode_planes(F: TensorStpSvd) -> tuple[np.ndarray, float]:
+    """The real part of ``reconstruct(F)`` from the compact factors, as an
+    (m1*n1) x (m2*n2*l) matrix whose entry ((a, b), (c, d, k)) is spatial
+    entry (a*m2 + c, b*n2 + d, k), and the largest modulus of its imaginary
+    part.
+
+    Entry (a*m2 + c, b*n2 + d) of B ⊗ C is B[a, b] C[c, d], and the inverse
+    DFT is linear, so with row-major vec the plane is the sum over Fourier
+    slices j of Re(vec(B_j) vec(w[k, j] C_j)^T): one real GEMM of inner size
+    2l, and a companion GEMM gives the imaginary part.  Overflow gives a
+    non-finite plane, which the caller rejects, so numpy's overflow warnings
+    are silenced.
+    """
+    m1, m2, n1, n2, l = F.dims
+    w = _idft_weights(l)
+    left = np.empty((2 * l, m1 * n1))
+    right = np.empty((2, 2 * l, m2 * n2, l))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, s in enumerate(F.slices):
+            B = (s.U * s.sigma) @ s.V.conj().T
+            left[j], left[l + j] = B.real.ravel(), B.imag.ravel()
+            wc = s.C.reshape(-1, 1) * w[:, j]
+            # Re(x y^T) = Re(x) Re(y)^T - Im(x) Im(y)^T, and
+            # Im(x y^T) = Re(x) Im(y)^T + Im(x) Re(y)^T.
+            right[0, j], right[0, l + j] = wc.real, -wc.imag
+            right[1, j], right[1, l + j] = wc.imag, wc.real
+        plane = left.T @ right[0].reshape(2 * l, -1)
+        imag = left.T @ right[1].reshape(2 * l, -1)
+        return plane, float(max(imag.max(), -imag.min()))
+
+
+def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
+    """Decode the factors of an image straight to its 8-bit samples.
+
+    Returns (samples, imag_residue): the uint8 (m, n, l) array that
+    ``tensor_to_image(reconstruct(F))`` gives, and the largest modulus of the
+    imaginary part of the reconstruction, which is at roundoff level when
+    the slices are conjugate-symmetric, as a real image's are.  No complex
+    (m, n, l) tensor is made: the rearranged real plane of every channel
+    comes from one real GEMM of inner size 2l (:func:`_decode_planes`), is
+    clamped to [0, 255] and rounded half up in float64, and the block
+    permutation is undone once, on the uint8 samples.  The plane agrees with ``reconstruct(F).real`` to
+    roundoff, so a sample may differ from the reference by one where the
+    reference lies within roundoff of a k + 0.5 tie.
+
+    Raises FormatError when the reconstruction is not finite (finite factors
+    whose product overflows), and DimensionError unless l is 1 or 3.
+    """
+    _check_slices(F)
+    m1, m2, n1, n2, l = F.dims
+    if l not in (1, 3):
+        raise DimensionError(f"expected 1 or 3 slices, got {l}")
+    plane, residue = _decode_planes(F)
+    if not (math.isfinite(residue) and np.isfinite(plane).all()):
+        raise FormatError("the factors overflow: the reconstruction is not finite")
+    # floor(clip(x, 0, 255) + 0.5) as tensor_to_image takes it: x + 0.5 is
+    # monotone in x, so clamping it to [0.5, 255.5] clamps x to [0, 255], and
+    # the cast truncates these positive values, which floors them.
+    plane += 0.5
+    np.clip(plane, 0.5, 255.5, out=plane)
+    samples = plane.astype(np.uint8).reshape(m1, n1, m2, n2 * l).transpose(0, 2, 1, 3)
+    return np.ascontiguousarray(samples).reshape(m1 * m2, n1 * n2, l), residue
 
 
 def error_bound_matrix(A, m2: int, n2: int, r: int) -> tuple[float, float, float]:

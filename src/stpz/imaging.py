@@ -19,6 +19,7 @@ from .errors import DimensionError, FormatError
 from .tensor import as_array3
 
 __all__ = [
+    "IMAG_TOL",
     "ImageBuffer",
     "load_ppm",
     "save_ppm",
@@ -33,7 +34,8 @@ _WINDOW = 11
 _SIGMA = 1.5
 _C1 = (0.01 * 255.0) ** 2
 _C2 = (0.03 * 255.0) ** 2
-_IMAG_TOL = 1e-6
+# A discarded imaginary part larger than this in modulus sets imag_warning.
+IMAG_TOL = 1e-6
 # SSIM output tile: rows per row-filter GEMM, columns per column-filter GEMM.
 _ROW_TILE = 32
 _COL_TILE = 64
@@ -147,7 +149,7 @@ def tensor_to_image(A) -> ImageBuffer:
     A = as_array3(A)
     if A.shape[2] not in (1, 3):
         raise DimensionError(f"expected 1 or 3 slices, got {A.shape[2]}")
-    warn = A.dtype.kind == "c" and bool(np.max(np.abs(A.imag)) > _IMAG_TOL)
+    warn = A.dtype.kind == "c" and bool(np.max(np.abs(A.imag)) > IMAG_TOL)
     x = np.clip(A.real.astype(np.float64, copy=False), 0.0, 255.0)
     x += 0.5
     np.floor(x, out=x)

@@ -4,10 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from stpz import cli
 from stpz.cli import _threads, main
 from stpz.codec import Method, deserialize, serialize, storage_count
-from stpz.decomp import tensor_stp_svd_trunc
-from stpz.imaging import ImageBuffer, load_ppm, save_ppm
+from stpz.decomp import reconstruct, tensor_stp_svd_trunc
+from stpz.errors import NumericError
+from stpz.imaging import ImageBuffer, load_ppm, save_ppm, tensor_to_image
 from stpz.synthetic import structured_test_image
 
 
@@ -38,8 +40,10 @@ class TestCompressDecompress:
         assert report["storage_count"] == storage_count(
             Method.TRUNC_STPSVD, 6, 4, 6, 4, 3, 3
         )
-        code, _ = run(capsys, "decompress", "--input", stpz_path, "--output", out_path)
+        code, report = run(capsys, "decompress", "--input", stpz_path, "--output", out_path)
         assert code == 0
+        assert set(report) == {"imag_residue", "imag_warning"}
+        assert report["imag_warning"] is False and 0 <= report["imag_residue"] < 1e-9
         code, metrics = run(
             capsys, "metrics", "--ref", ppm_path, "--test", out_path
         )
@@ -99,6 +103,35 @@ class TestCompressDecompress:
         assert code == 0
         assert out.read_bytes().startswith(b"P5\n")
         assert load_ppm(out.read_bytes()).channels == 1
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_decompress_writes_the_reference_image(self, tmp_path, capsys, channels):
+        rng = np.random.default_rng(channels)
+        img = ImageBuffer(rng.integers(0, 256, size=(16, 24, channels), dtype=np.uint8))
+        packed = tmp_path / "o.stpz"
+        packed.write_bytes(serialize(tensor_stp_svd_trunc(img.samples, 4, 4, [2] * channels)))
+        out = tmp_path / "o.ppm"
+        code, _ = run(capsys, "decompress", "--input", packed, "--output", out)
+        assert code == 0
+        want = tensor_to_image(reconstruct(deserialize(packed.read_bytes())))
+        assert out.read_bytes() == save_ppm(want)
+
+    def test_decompress_reports_the_imaginary_residue(self, tmp_path, capsys):
+        # Complex input leaves non-conjugate slices: the reconstruction keeps
+        # an imaginary part, reported as a JSON field and warned about.
+        rng = np.random.default_rng(5)
+        A = rng.uniform(0, 255, (8, 8, 3)) + 1j * rng.uniform(0, 20, (8, 8, 3))
+        packed = tmp_path / "c.stpz"
+        packed.write_bytes(serialize(tensor_stp_svd_trunc(A, 2, 2, [4, 4, 4])))
+        out = tmp_path / "c.ppm"
+        code = main(["decompress", "--input", str(packed), "--output", str(out)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 0 and out.exists()
+        assert report["imag_warning"] is True
+        imag = np.abs(reconstruct(deserialize(packed.read_bytes())).imag).max()
+        assert report["imag_residue"] == pytest.approx(imag, rel=1e-9)
+        assert "warning: reconstruction had non-negligible imaginary part" in captured.err
 
     def test_threads_env(self, tmp_path, ppm_path, capsys, monkeypatch):
         base = tmp_path / "x.stpz"
@@ -163,6 +196,38 @@ class TestExitCodes:
         assert not out.exists()
         assert main(["info", "--input", str(packed)]) == 4
         assert f"offset {sigma_at}" in capsys.readouterr().err
+
+    def test_overflowing_container_exit_4(self, tmp_path, ppm_path, capsys):
+        # Finite factors whose product overflows: no garbage image is written.
+        packed = tmp_path / "o.stpz"
+        run(
+            capsys, "compress", "--input", ppm_path, "--m2", 4, "--n2", 4,
+            "--rank", "2", "--output", packed,
+        )
+        F = deserialize(packed.read_bytes())
+        for s in F.slices:
+            s.sigma[:] = 1e300
+            s.C[:] = 1e300
+        packed.write_bytes(serialize(F))
+        out = tmp_path / "o.ppm"
+        assert main(["decompress", "--input", str(packed), "--output", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "exc, code", [(NumericError("svd input contains NaN or Inf"), 4), (MemoryError(), 5)]
+    )
+    def test_numeric_and_memory_errors_map_to_exit_codes(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_info", fail)
+        assert main(["info", "--input", "x.stpz"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_non_image_container_exit_4(self, tmp_path, capsys):
         A = np.random.default_rng(0).random((8, 8, 2))

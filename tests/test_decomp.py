@@ -8,6 +8,9 @@ from numpy.testing import assert_allclose
 from helpers import cplx, rel_err, same_bytes
 from stpz.codec import serialize
 from stpz.decomp import (
+    MatStpSvd,
+    TensorStpSvd,
+    decode_samples,
     error_bound_matrix,
     error_bound_tensor,
     mat_stp_svd,
@@ -19,6 +22,7 @@ from stpz.decomp import (
     tensor_stp_svd_trunc,
 )
 from stpz.errors import DimensionError
+from stpz.imaging import IMAG_TOL, tensor_to_image
 from stpz.nkp import rearrange
 from stpz.svd import svd
 from stpz.tensor import (
@@ -549,3 +553,128 @@ class TestFourierFrontEnd:
                 assert same_bytes(getattr(got, name), getattr(want, name))
         with pytest.raises(DimensionError):
             mat_stp_svd(rearrange(A, 3, 2), 3, 2, blocks=(3, 5))
+
+
+def random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate):
+    """Random factors of an l-slice tensor with ranks R and singular values
+    up to ``scale``.  With ``conjugate``, slice 0 is real and slice l - j
+    holds the conjugates of slice j's factors, as the factors of a real
+    image do; otherwise every slice is random complex."""
+    slices = []
+    for j in range(l):
+        if conjugate and 0 < l - j < j:
+            s = slices[l - j]
+            slices.append(MatStpSvd(s.U.conj(), s.sigma.copy(), s.C.conj(), s.V.conj(), s.dims))
+            continue
+        r = R[j]
+        real = conjugate and j == 0
+        U, V, C = (
+            rng.normal(size=shape) + (0 if real else 1j * rng.normal(size=shape))
+            for shape in ((m1, r), (n1, r), (m2, n2))
+        )
+        if j == 0:
+            C += 4.0  # a positive mean, as an image has
+        sigma = np.sort(rng.uniform(0, scale, r))[::-1]
+        slices.append(MatStpSvd(U, sigma, C.astype(np.complex128), V, (m1, m2, n1, n2)))
+    return slices
+
+
+def tie_factors(m1, m2, n1, n2, l, halves):
+    """Factors whose reconstruction is exactly ``halves / l``, replicated over
+    the blocks and the channels: slice 0 is ones(m1, n1) ⊗ C, every other
+    slice has rank 0 and C = 0."""
+    dims = (m1, m2, n1, n2)
+    C = np.reshape(halves, (m2, n2)).astype(np.complex128)
+    slices = [MatStpSvd(np.ones((m1, 1)), np.ones(1), C, np.ones((n1, 1)), dims)]
+    return slices + [
+        MatStpSvd(np.zeros((m1, 0)), np.zeros(0), np.zeros((m2, n2)), np.zeros((n1, 0)), dims)
+        for _ in range(1, l)
+    ]
+
+
+def assert_decodes_like_the_reference(F):
+    """decode_samples against tensor_to_image(reconstruct(F)), under the
+    tolerance tol = 1e-12 (1 + max |reconstruct(F)|): the float plane within
+    tol, equal samples except for a reference value within tol of a k + 0.5
+    tie (which may differ by one), the residue within tol of the
+    reference's, and the same imag_warning unless that lies within tol of
+    the 1e-6 threshold."""
+    A = reconstruct(F)
+    want = tensor_to_image(A)
+    got, residue = decode_samples(F)
+    tol = 1e-12 * (1 + np.abs(A).max())
+    m1, m2, n1, n2, l = F.dims
+    plane, _ = decomp_module._decode_planes(F)
+    plane = plane.reshape(m1, n1, m2, n2, l).transpose(0, 2, 1, 3, 4).reshape(A.shape)
+    assert np.abs(plane - A.real).max() <= tol
+    assert got.dtype == np.uint8 and got.shape == A.shape and got.flags.c_contiguous
+    diff = got.astype(int) - want.samples
+    near_tie = np.abs(A.real - np.floor(A.real) - 0.5) <= tol
+    assert np.all((diff == 0) | ((np.abs(diff) == 1) & near_tie))
+    imag = np.abs(A.imag).max()
+    assert abs(residue - imag) <= tol
+    if abs(imag - IMAG_TOL) > tol:
+        assert (residue > IMAG_TOL) == want.imag_warning
+    return got, residue, want
+
+
+class TestDecodeSamples:
+    @given(
+        l=st.sampled_from([1, 3]),
+        m1=st.integers(1, 4),
+        m2=st.integers(1, 4),
+        n1=st.integers(1, 4),
+        n2=st.integers(1, 4),
+        ranks=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        scale=st.sampled_from([0.5, 30.0, 400.0]),
+        conjugate=st.booleans(),
+        real_input=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_random_factors(self, l, m1, m2, n1, n2, ranks, scale, conjugate, real_input, seed):
+        rng = np.random.default_rng(seed)
+        R = [min(r, m1, n1) for r in ranks[:l]]
+        if conjugate:
+            R = [R[min(j, l - j)] for j in range(l)]
+        F = TensorStpSvd(random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate),
+                         (m1, m2, n1, n2, l), real_input)
+        _, residue, want = assert_decodes_like_the_reference(F)
+        if conjugate:
+            assert not want.imag_warning and residue < 1e-9
+        elif l == 3 and sum(R) > 0 and residue > 1e-3:
+            # Non-conjugate slices leave an imaginary part: both paths warn.
+            assert want.imag_warning
+
+    @pytest.mark.parametrize("l", [1, 3])
+    @pytest.mark.parametrize("shape", [(1, 2, 1, 3), (2, 4, 3, 2)])
+    def test_exact_ties_round_half_up_like_the_reference(self, l, shape):
+        m1, m2, n1, n2 = shape
+        # k + 0.5 for k in -1..256, times l: both paths scale by the same
+        # 1/l and add exact zeros, so each reference tie is a tie here too.
+        halves = l * (np.arange(m2 * n2) * 37 % 258 - 0.5)
+        F = TensorStpSvd(tie_factors(m1, m2, n1, n2, l, halves), (m1, m2, n1, n2, l), True)
+        A = reconstruct(F)
+        assert np.any((A.real % 1 == 0.5) & (A.real > 0) & (A.real < 255))
+        got, residue, want = assert_decodes_like_the_reference(F)
+        assert same_bytes(got, want.samples) and residue == 0.0
+
+    @pytest.mark.parametrize("l", [1, 3])
+    @pytest.mark.parametrize("m2", [2, 8])
+    def test_encoded_images(self, l, m2):
+        rng = np.random.default_rng(70 + l)
+        A = textured_samples(rng, 64, 48, l)
+        # Conjugate slices 1 and 2 at equal ranks keep the factors conjugate.
+        for R in ([m2] * l, [64 // m2] * l, [1, 3, 3][:l]):
+            F = tensor_stp_svd_trunc(A, m2, m2, [min(r, 48 // m2) for r in R])
+            got, residue, want = assert_decodes_like_the_reference(F)
+            assert residue < 1e-9 and not want.imag_warning
+
+    def test_rejects_what_is_not_an_image(self):
+        rng = np.random.default_rng(72)
+        with pytest.raises(DimensionError):
+            decode_samples(tensor_stp_svd(rng.normal(size=(4, 4, 2)), 2, 2))
+        F = tensor_stp_svd(rng.normal(size=(4, 4, 3)), 2, 2)
+        F.slices[1] = mat_stp_svd(cplx(rng, 6, 6), 3, 3)
+        with pytest.raises(DimensionError):
+            decode_samples(F)
