@@ -3,12 +3,10 @@ the tubal SVD baseline, and a lossy image compression toolchain."""
 
 from .codec import (
     Method,
-    StorageReport,
     compression_rate,
     deserialize,
     serialize,
     storage_count,
-    storage_report,
 )
 from .decomp import (
     MatStpSvd,

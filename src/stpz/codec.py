@@ -22,22 +22,19 @@ bytes and non-finite (NaN or Inf) scalars are format errors.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .decomp import MatStpSvd, TensorStpSvd
+from .decomp import MatStpSvd, TensorStpSvd, _check_slices
 from .errors import DimensionError, FormatError
 
 __all__ = [
     "Method",
-    "StorageReport",
     "storage_count",
     "compression_rate",
-    "storage_report",
     "serialize",
     "deserialize",
 ]
@@ -53,13 +50,6 @@ class Method(str, Enum):
     FULL_STPSVD = "full_stpsvd"
     TRUNC_TSVD = "trunc_tsvd"
     TRUNC_STPSVD = "trunc_stpsvd"
-
-
-@dataclass
-class StorageReport:
-    method: Method
-    count: int
-    cr: Fraction
 
 
 def _ranks(r, l: int, method: Method) -> list[int]:
@@ -116,30 +106,14 @@ def compression_rate(
     )
 
 
-def storage_report(
-    method: Method,
-    m1: int,
-    m2: int,
-    n1: int,
-    n2: int,
-    l: int,
-    r: int | Sequence[int] | None = None,
-) -> StorageReport:
-    count = storage_count(method, m1, m2, n1, n2, l, r)
-    return StorageReport(
-        method=method, count=count, cr=Fraction(count, m1 * m2 * n1 * n2 * l)
-    )
-
-
 def _mat_bytes(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a.ravel(order="F"), dtype="<c16").tobytes()
 
 
 def serialize(F: TensorStpSvd) -> bytes:
     """Encode Fourier-domain factors into the STPZ v1 container."""
+    _check_slices(F)
     m1, m2, n1, n2, l = F.dims
-    if len(F.slices) != l:
-        raise DimensionError(f"expected {l} slices, found {len(F.slices)}")
     flags = FLAG_REAL_INPUT if F.real_input else 0
     parts = [
         MAGIC,
@@ -149,10 +123,6 @@ def serialize(F: TensorStpSvd) -> bytes:
     ]
     for i, s in enumerate(F.slices):
         r = s.rank
-        if s.dims != (m1, m2, n1, n2):
-            raise DimensionError(
-                f"slice {i} dims {s.dims} differ from {(m1, m2, n1, n2)}"
-            )
         if s.U.shape != (m1, r) or s.V.shape != (n1, r) or s.C.shape != (m2, n2):
             raise DimensionError(f"slice {i} factor shapes are inconsistent")
         parts.append(_mat_bytes(s.U))

@@ -57,6 +57,15 @@ class MatStpSvd:
 
     U is m1 x r and V is n1 x r with orthonormal columns, sigma descending;
     Σ = diag(sigma) ⊗ C is never materialized.  dims is (m1, m2, n1, n2).
+
+    The factorization also leaves the two error terms of the paper's bound:
+    e1 = ||A - B ⊗ C||_F, the NKP residual, and e2 = ||C||_F ||sigma_B[r:]||,
+    the energy of the dropped blocks (sigma_B being all of B's singular
+    values).  The residual of the nearest Kronecker product annihilates the
+    leading right vector of the rearrangement, and every dropped block has
+    the form x v1^H after rearrangement, so the error ||A - U ⋉ Σ ⋉ V^H||_F
+    is exactly sqrt(e1^2 + e2^2); the paper bounds it by e1 + e2.  Factors
+    read from a container carry neither term (None).
     """
 
     U: np.ndarray
@@ -64,6 +73,8 @@ class MatStpSvd:
     C: np.ndarray
     V: np.ndarray
     dims: tuple[int, int, int, int]
+    e1: float | None = None
+    e2: float | None = None
 
     @property
     def rank(self) -> int:
@@ -196,43 +207,47 @@ def _matrix_blocks(A, m2: int, n2: int, blocks, name: str) -> tuple[int, int]:
     return _split(A.shape[0], A.shape[1], m2, n2)
 
 
-def mat_stp_svd(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> MatStpSvd:
-    """Full matrix decomposition (r = min(m1, n1)).
+def mat_stp_svd(A, m2: int, n2: int) -> MatStpSvd:
+    """Full matrix decomposition: :func:`mat_stp_svd_trunc` at
+    r = min(m1, n1)."""
+    m1, n1 = _matrix_blocks(A, m2, n2, None, "mat_stp_svd")
+    return mat_stp_svd_trunc(A, m2, n2, min(m1, n1))
+
+
+def mat_stp_svd_trunc(
+    A, m2: int, n2: int, r: int, *, blocks: tuple[int, int] | None = None
+) -> MatStpSvd:
+    """Truncated matrix decomposition keeping the leading r blocks, with the
+    error terms e1 and e2 (see :class:`MatStpSvd`).
 
     With ``blocks=(m1, n1)``, A is the matrix's rearrangement, and blocks
     must be the matrix's exact (m1, n1) pair, which the rearrangement's
     shape cannot check; a complex128 A is overwritten (see
     :func:`~stpz.nkp.nkp`).
     """
-    m1, n1 = _matrix_blocks(A, m2, n2, blocks, "mat_stp_svd")
-    factors = nkp(A, m2, n2, blocks=blocks)
-    f = svd(factors.B)
-    return MatStpSvd(U=f.U, sigma=f.sigma, C=factors.C, V=f.V, dims=(m1, m2, n1, n2))
-
-
-def mat_stp_svd_trunc(
-    A, m2: int, n2: int, r: int, *, blocks: tuple[int, int] | None = None
-) -> MatStpSvd:
-    """Truncated matrix decomposition keeping the leading r blocks.
-
-    ``blocks`` is as for :func:`mat_stp_svd`.
-    """
     m1, n1 = _matrix_blocks(A, m2, n2, blocks, "mat_stp_svd_trunc")
     if not 1 <= r <= min(m1, n1):
         raise DimensionError(f"rank {r} out of range [1, {min(m1, n1)}]")
     factors = nkp(A, m2, n2, blocks=blocks)
-    f = svds(factors.B, r)
-    return MatStpSvd(U=f.U, sigma=f.sigma, C=factors.C, V=f.V, dims=(m1, m2, n1, n2))
+    f = svd(factors.B)
+    return MatStpSvd(
+        U=f.U[:, :r].copy(),
+        sigma=f.sigma[:r].copy(),
+        C=factors.C,
+        V=f.V[:, :r].copy(),
+        dims=(m1, m2, n1, n2),
+        e1=factors.residual,
+        e2=float(np.linalg.norm(factors.C) * np.linalg.norm(f.sigma[r:])),
+    )
 
 
 def tensor_stp_svd(A, m2: int, n2: int, threads: int = 1) -> TensorStpSvd:
-    """Full tensor decomposition: matrix decomposition of every DFT slice."""
-    Ah, dims, real = _fourier_slices(A, m2, n2)
-    m1, _, n1, _, l = dims
-    slices = _slice_map(
-        lambda i: mat_stp_svd(Ah[i], m2, n2, blocks=(m1, n1)), l, threads
-    )
-    return TensorStpSvd(slices=slices, dims=dims, real_input=real)
+    """Full tensor decomposition: :func:`tensor_stp_svd_trunc` at rank
+    min(m1, n1) in every slice."""
+    A = as_array3(A)
+    m, n, l = A.shape
+    m1, n1 = _split(m, n, m2, n2)
+    return tensor_stp_svd_trunc(A, m2, n2, [min(m1, n1)] * l, threads)
 
 
 def tensor_stp_svd_trunc(
@@ -445,30 +460,21 @@ def error_bound_matrix(A, m2: int, n2: int, r: int) -> tuple[float, float, float
     e1 is the NKP residual ||A - B ⊗ C||_F (the error of the untruncated
     decomposition; in exact arithmetic the root tail energy of the
     rearranged matrix's singular values); e2 is the root energy of the
-    dropped blocks, sum_{j>r} ||sigma_j C||_F^2.  The actual error is at
-    most e1 + e2.
+    dropped blocks, sum_{j>r} ||sigma_j C||_F^2.  Both come from
+    :func:`mat_stp_svd_trunc`.  The actual error is exactly
+    sqrt(e1^2 + e2^2), so at most the paper's bound e1 + e2.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
-    if not 1 <= r <= min(m1, n1):
-        raise DimensionError(f"rank {r} out of range [1, {min(m1, n1)}]")
-    factors = nkp(A, m2, n2)
-    e1 = factors.residual
-    sig_b = np.linalg.svd(factors.B, compute_uv=False)
-    e2 = float(np.linalg.norm(factors.C) * np.linalg.norm(sig_b[r:]))
-    return e1, e2, e1 + e2
+    F = mat_stp_svd_trunc(A, m2, n2, r)
+    return F.e1, F.e2, F.e1 + F.e2
 
 
 def error_bound_tensor(A, m2: int, n2: int, R: Sequence[int]) -> float:
-    """Upper bound on the spatial-domain error of the truncated tensor
-    decomposition: the per-DFT-slice bounds summed, scaled by 1/sqrt(l)."""
-    A = as_tensor3(A)
-    m, n, l = A.shape
-    m1, n1 = _split(m, n, m2, n2)
-    R = _check_block_rank(R, l, min(m1, n1))
-    Ah = dft3(A)
-    total = 0.0
-    for i in range(l):
-        _, _, bound = error_bound_matrix(Ah[:, :, i], m2, n2, R[i])
-        total += bound
-    return total / np.sqrt(l)
+    """The paper's upper bound on the spatial-domain error of the truncated
+    tensor decomposition: the per-DFT-slice bounds e1 + e2 of
+    :func:`tensor_stp_svd_trunc`'s factors summed, scaled by 1/sqrt(l).
+
+    By Parseval the actual error is exactly
+    sqrt((1/l) sum_i (e1_i^2 + e2_i^2)), which never exceeds the bound.
+    """
+    F = tensor_stp_svd_trunc(A, m2, n2, R)
+    return sum(s.e1 + s.e2 for s in F.slices) / np.sqrt(F.dims[4])

@@ -10,7 +10,6 @@ from stpz.codec import (
     deserialize,
     serialize,
     storage_count,
-    storage_report,
 )
 from stpz.decomp import MatStpSvd, TensorStpSvd, tensor_stp_svd_trunc
 from stpz.errors import DimensionError, FormatError
@@ -82,12 +81,6 @@ class TestStorageFormulas:
                                     Method.TRUNC_TSVD, m1, m2, n1, n2, 3, r
                                 )
                                 assert small < big
-
-    def test_report(self):
-        rep = storage_report(Method.FULL_STPSVD, 4, 4, 4, 4, 16)
-        assert rep.count == 832
-        assert rep.cr == Fraction(832, 4096)
-        assert rep.method is Method.FULL_STPSVD
 
 
 class TestContainer:

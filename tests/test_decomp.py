@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import cplx, rel_err, same_bytes
-from stpz.codec import serialize
+from stpz.codec import deserialize, serialize
 from stpz.decomp import (
     MatStpSvd,
     TensorStpSvd,
@@ -23,7 +23,7 @@ from stpz.decomp import (
 )
 from stpz.errors import DimensionError
 from stpz.imaging import IMAG_TOL, tensor_to_image
-from stpz.nkp import rearrange
+from stpz.nkp import nkp, rearrange
 from stpz.svd import svd
 from stpz.tensor import (
     dft3,
@@ -446,6 +446,65 @@ class TestErrorBounds:
             assert err <= error_bound_tensor(A, 2, 2, R) + 1e-9 * frobenius_norm(A)
 
 
+@st.composite
+def stp_cases(draw):
+    """(A, m2, n2, R): a tensor of dims 1..5 with l in 1..5 slices, as uint8,
+    float64 or complex128, and a random block rank per slice."""
+    m1, m2, n1, n2, l = (draw(st.integers(1, 5)) for _ in range(5))
+    dtype = draw(st.sampled_from(["uint8", "float64", "complex128"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (m1 * m2, n1 * n2, l)
+    if dtype == "uint8":
+        A = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    elif dtype == "float64":
+        A = rng.normal(size=shape)
+    else:
+        A = cplx(rng, *shape)
+    R = [int(r) for r in rng.integers(1, min(m1, n1) + 1, size=l)]
+    return A, m2, n2, R
+
+
+class TestErrorTerms:
+    """e1 and e2 as byproducts of the truncated route, against independent
+    computations, the paper's bound and the exact error."""
+
+    @given(case=stp_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_terms_match_independent_computations(self, case):
+        A, m2, n2, R = case
+        F = tensor_stp_svd_trunc(A, m2, n2, R)
+        scale = frobenius_norm(A)
+        err = frobenius_norm(A - reconstruct(F))
+        assert err <= error_bound_tensor(A, m2, n2, R) + 1e-9 * scale
+        Ah = dft3(A)
+        for i, (s, r) in enumerate(zip(F.slices, R)):
+            # C04's scale: the norm of the slice the terms belong to.
+            slice_scale = np.linalg.norm(Ah[:, :, i])
+            sig = np.linalg.svd(rearrange(Ah[:, :, i], m2, n2), compute_uv=False)
+            assert abs(s.e1 - np.linalg.norm(sig[1:])) <= 1e-9 * slice_scale
+            full = nkp(Ah[:, :, i], m2, n2)
+            sig_b = np.linalg.svd(full.B, compute_uv=False)
+            e2 = np.linalg.norm(full.C) * np.linalg.norm(sig_b[r:])
+            assert abs(s.e2 - e2) <= 1e-9 * slice_scale
+        blob = serialize(F)
+        G = deserialize(blob)
+        assert all(s.e1 is None and s.e2 is None for s in G.slices)
+        assert serialize(G) == blob
+
+    @given(case=stp_cases())
+    @settings(deadline=None, max_examples=300)
+    def test_error_is_exactly_pythagorean(self, case):
+        # The NKP residual and the dropped blocks are orthogonal, and by
+        # Parseval each Fourier slice counts 1/l of its squared error.
+        A, m2, n2, R = case
+        F = tensor_stp_svd_trunc(A, m2, n2, R)
+        l = A.shape[2]
+        err_sq = frobenius_norm(A - reconstruct(F)) ** 2
+        predicted = sum(s.e1**2 + s.e2**2 for s in F.slices) / l
+        energy = frobenius_norm(A) ** 2
+        assert err_sq == pytest.approx(predicted, rel=1e-9, abs=1e-20 * energy)
+
+
 def textured_samples(rng, m, n, l, equal_channels=False):
     """uint8 image samples: a low-rank Kronecker structure plus noise, with
     the DFT slices of a real photo-like input."""
@@ -544,15 +603,13 @@ class TestFourierFrontEnd:
     def test_matrix_routes_take_a_rearranged_slice(self):
         rng = np.random.default_rng(62)
         A = cplx(rng, 12, 10)
-        for fn, args in ((mat_stp_svd, ()), (mat_stp_svd_trunc, (2,))):
-            want = fn(A, 3, 2, *args)
-            R = rearrange(A, 3, 2)
-            got = fn(R, 3, 2, *args, blocks=(4, 5))
-            assert got.dims == want.dims == (4, 3, 5, 2)
-            for name in ("U", "sigma", "C", "V"):
-                assert same_bytes(getattr(got, name), getattr(want, name))
+        want = mat_stp_svd_trunc(A, 3, 2, 2)
+        got = mat_stp_svd_trunc(rearrange(A, 3, 2), 3, 2, 2, blocks=(4, 5))
+        assert got.dims == want.dims == (4, 3, 5, 2)
+        for name in ("U", "sigma", "C", "V", "e1", "e2"):
+            assert same_bytes(getattr(got, name), getattr(want, name))
         with pytest.raises(DimensionError):
-            mat_stp_svd(rearrange(A, 3, 2), 3, 2, blocks=(3, 5))
+            mat_stp_svd_trunc(rearrange(A, 3, 2), 3, 2, 2, blocks=(3, 5))
 
 
 def random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate):
