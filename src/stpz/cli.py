@@ -5,8 +5,9 @@ JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 failure (including a container whose reconstruction overflows), 5 out of
 memory; each prints one ``error:`` line on stderr.  Any other exception is a
 bug and exits 1 with a traceback.  The STPZ_THREADS environment variable
-caps per-slice parallelism (0 or unset = one worker per CPU, at most one per
-slice).
+caps how many Fourier slices the STP decomposition of ``compress`` and
+``bench --method stpsvd`` factors at once (0 or unset = one worker per CPU,
+at most one per slice); the T-SVD baseline runs its slices serially.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def run_method(
 
     The wall time covers decomposition and reconstruction, not scoring.  Both
     methods take the uint8 samples as they are, so no complex copy of the
-    image is made.
+    image is made.  ``threads`` reaches the STP route only.
     """
     A = img.samples
     h, w, c = A.shape
@@ -207,7 +208,7 @@ def run_method(
         F = tensor_stp_svd_trunc(A, m2, n2, R, threads=threads)
         kind = Method.TRUNC_STPSVD
     else:
-        F = t_svd_trunc(A, R, threads=threads)
+        F = t_svd_trunc(A, R)
         kind = Method.TRUNC_TSVD
     out = reconstruct(F, drop_imag=True)
     elapsed = time.perf_counter() - t0

@@ -241,19 +241,25 @@ def mat_stp_svd_trunc(
     )
 
 
-def tensor_stp_svd(A, m2: int, n2: int, threads: int = 1) -> TensorStpSvd:
+def tensor_stp_svd(A, m2: int, n2: int) -> TensorStpSvd:
     """Full tensor decomposition: :func:`tensor_stp_svd_trunc` at rank
     min(m1, n1) in every slice."""
     A = as_array3(A)
     m, n, l = A.shape
     m1, n1 = _split(m, n, m2, n2)
-    return tensor_stp_svd_trunc(A, m2, n2, [min(m1, n1)] * l, threads)
+    return tensor_stp_svd_trunc(A, m2, n2, [min(m1, n1)] * l)
 
 
 def tensor_stp_svd_trunc(
     A, m2: int, n2: int, R: Sequence[int], threads: int = 1
 ) -> TensorStpSvd:
-    """Truncated tensor decomposition with per-slice block rank R."""
+    """Truncated tensor decomposition with per-slice block rank R, factoring
+    up to ``threads`` Fourier slices at once.
+
+    For a real A (an image), slice l - i is conj(slice i), and so are their
+    factors.  R[i] != R[l - i] truncates such a pair unevenly and leaves an
+    imaginary part in the reconstruction; ``stpz decompress`` drops it with
+    a warning."""
     Ah, dims, real = _fourier_slices(A, m2, n2)
     m1, _, n1, _, l = dims
     R = _check_block_rank(R, l, min(m1, n1))
@@ -263,7 +269,7 @@ def tensor_stp_svd_trunc(
     return TensorStpSvd(slices=slices, dims=dims, real_input=real)
 
 
-def t_svd(A, threads: int = 1) -> TSvdFactors:
+def t_svd(A) -> TSvdFactors:
     """Full tubal SVD: U (n1 x n1 x n3) and V (n2 x n2 x n3) unitary tensors,
     S f-diagonal, with A = U * S * V^H."""
     A = as_tensor3(A)
@@ -272,24 +278,20 @@ def t_svd(A, threads: int = 1) -> TSvdFactors:
     Uh = np.empty((n1, n1, n3), dtype=np.complex128)
     Sh = np.zeros((n1, n2, n3), dtype=np.complex128)
     Vh = np.empty((n2, n2, n3), dtype=np.complex128)
-
-    def work(i: int):
+    for i in range(n3):
         # Square unitary factors; the phase convention applies to the paired
         # leading columns only (trailing null-space columns do not affect
         # U S V^H).
         U, s, W = np.linalg.svd(Ah[:, :, i], full_matrices=True)
         V = W.conj().T
         _fix_phases(U[:, : s.size], V[:, : s.size])
-        return U, s, V
-
-    for i, (U, s, V) in enumerate(_slice_map(work, n3, threads)):
         Uh[:, :, i] = U
         Sh[: s.size, : s.size, i] = np.diag(s)
         Vh[:, :, i] = V
     return TSvdFactors(U=idft3(Uh), S=idft3(Sh), V=idft3(Vh))
 
 
-def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
+def t_svd_trunc(A, R: Sequence[int]) -> TSvdFactors:
     """Tubal SVD with DFT slice i truncated at rank R[i].
 
     Slices with R[i] < max(R) are zero-padded so the factor tensors share a
@@ -300,7 +302,9 @@ def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
     max(R[i], R[n3 - i]) triplets, and slice n3 - i takes the leading
     R[n3 - i] of them conjugated.  Conjugation keeps the phase convention.
     The self-conjugate slices (0, and n3/2 for even n3) are real and go to
-    the real SVD.
+    the real SVD.  R[i] != R[n3 - i] leaves an imaginary part in the
+    reconstruction of a real A (an image); ``stpz bench`` scores its real
+    part.
     """
     A, real = _as_input(A)
     n1, n2, n3 = A.shape
@@ -318,21 +322,14 @@ def t_svd_trunc(A, R: Sequence[int], threads: int = 1) -> TSvdFactors:
         Sh[:r, :r, i] = np.diag(sigma[:r])
         Vh[:, :r, i] = V[:, :r]
 
-    if real:
-        def work(i: int):
-            j = -i % n3
-            if i == j:
-                return svds(Ah[i].real, R[i])
-            return svds(Ah[i], max(R[i], R[j]))
-
-        for i, f in enumerate(_slice_map(work, n3 // 2 + 1, threads)):
-            put(i, f.U, f.sigma, f.V)
-            j = -i % n3
-            if j != i:
-                put(j, f.U.conj(), f.sigma, f.V.conj())
-    else:
-        for i, f in enumerate(_slice_map(lambda i: svds(Ah[i], R[i]), n3, threads)):
-            put(i, f.U, f.sigma, f.V)
+    for i in range(n3 // 2 + 1 if real else n3):
+        # j is the slice that takes slice i's factors conjugated: its mirror
+        # for real A, none (j == i) for complex A.
+        j = -i % n3 if real else i
+        f = svds(Ah[i].real if real and i == j else Ah[i], max(R[i], R[j]))
+        put(i, f.U, f.sigma, f.V)
+        if j != i:
+            put(j, f.U.conj(), f.sigma, f.V.conj())
     return TSvdFactors(U=idft3(Uh), S=idft3(Sh), V=idft3(Vh))
 
 

@@ -180,8 +180,8 @@ class TestTensorStpSvd:
     def test_threads_do_not_change_output(self):
         rng = np.random.default_rng(12)
         A = cplx(rng, 4, 4, 4)
-        F1 = tensor_stp_svd(A, 2, 2, threads=1)
-        F2 = tensor_stp_svd(A, 2, 2, threads=4)
+        F1 = tensor_stp_svd_trunc(A, 2, 2, [2] * 4, threads=1)
+        F2 = tensor_stp_svd_trunc(A, 2, 2, [2] * 4, threads=4)
         for s1, s2 in zip(F1.slices, F2.slices):
             assert np.array_equal(s1.U, s2.U)
             assert np.array_equal(s1.sigma, s2.sigma)
@@ -610,6 +610,67 @@ class TestFourierFrontEnd:
             assert same_bytes(getattr(got, name), getattr(want, name))
         with pytest.raises(DimensionError):
             mat_stp_svd_trunc(rearrange(A, 3, 2), 3, 2, 2, blocks=(3, 5))
+
+
+def assert_conjugate_slices(F):
+    """Slice l - i of a real input's factors holds the conjugates of slice
+    i's, for every pair 1 <= i < l - i.
+
+    C and sigma match bit for bit, U and V up to the sign of a zero.  The
+    phase convention makes each column's pivot entry of U real: its
+    imaginary part is the rounding residue of z * conj(z) / |z|, which the
+    mirror slice gets negated, unless it is exactly zero; a zero has the
+    same sign in both slices, where conj would flip it.  V takes the same
+    rotation.  Adding 0.0 turns every -0.0 into +0.0.
+    """
+    l = len(F.slices)
+    for i in range(1, (l + 1) // 2):
+        a, b = F.slices[i], F.slices[l - i]
+        assert same_bytes(b.C, a.C.conj())
+        assert same_bytes(b.sigma, a.sigma)
+        for name in ("U", "V"):
+            assert same_bytes(getattr(b, name) + 0.0, getattr(a, name).conj() + 0.0)
+
+
+@st.composite
+def real_symmetric_cases(draw):
+    """(A, m2, n2, R): a real uint8 or float64 tensor of dims 1..5 with l in
+    2..5 slices, and a block rank with R[i] == R[l - i]."""
+    m1, m2, n1, n2 = (draw(st.integers(1, 5)) for _ in range(4))
+    l = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (m1 * m2, n1 * n2, l)
+    if draw(st.sampled_from(["uint8", "float64"])) == "uint8":
+        A = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    else:
+        A = rng.normal(size=shape)
+    half = [draw(st.integers(1, min(m1, n1))) for _ in range(l // 2 + 1)]
+    return A, m2, n2, [half[min(i, l - i)] for i in range(l)]
+
+
+class TestConjugateSymmetry:
+    """For real input, Fourier slice l - i is conj(slice i), and
+    tensor_stp_svd_trunc's factors of the pair are conjugates too."""
+
+    @given(case=real_symmetric_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_real_input_gives_conjugate_factors(self, case):
+        A, m2, n2, R = case
+        assert_conjugate_slices(tensor_stp_svd_trunc(A, m2, n2, R))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lanczos_side_gives_conjugate_factors(self, monkeypatch, seed):
+        # 256 x 256 with 8 x 8 blocks rearranges to 1024 x 64, above
+        # nkp's dense limit, so every slice's triplet comes from Lanczos.
+        nkp_module = importlib.import_module("stpz.nkp")
+        calls = []
+        real_triplet = nkp_module.leading_triplet
+        monkeypatch.setattr(
+            nkp_module, "leading_triplet", lambda R: calls.append(R.shape) or real_triplet(R)
+        )
+        A = textured_samples(np.random.default_rng(70 + seed), 256, 256, 3)
+        assert_conjugate_slices(tensor_stp_svd_trunc(A, 8, 8, [8, 5, 5]))
+        assert calls == [(1024, 64)] * 3
 
 
 def random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate):
