@@ -8,7 +8,7 @@ from stpz.imaging import save_ppm
 from stpz.synthetic import structured_test_image
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--output", default="structured.ppm")
     ap.add_argument("--height", type=int, default=96)
@@ -17,7 +17,7 @@ def main():
     ap.add_argument("--n2", type=int, default=4)
     ap.add_argument("--rank", type=int, default=4)
     ap.add_argument("--seed", type=int, default=2024)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     img = structured_test_image(
         height=args.height, width=args.width, m2=args.m2, n2=args.n2,

@@ -194,11 +194,11 @@ def run_method(
     img: ImageBuffer, method: str, m2: int, n2: int, R: list[int], threads: int = 1
 ) -> BenchReport:
     """Decompose ``img`` with one truncated method ("stpsvd" or "tsvd") at
-    per-slice rank R, reconstruct it, and score the result against ``img``.
+    per-slice rank R, decode it to uint8, and score that against ``img``.
 
-    The wall time covers decomposition and reconstruction, not scoring.  Both
-    methods take the uint8 samples as they are, so no complex copy of the
-    image is made.  ``threads`` reaches the STP route only.
+    STP decodes by :func:`decode_samples`, as ``stpz decompress`` does; T-SVD
+    by ``reconstruct`` and ``tensor_to_image``.  The wall time covers both
+    steps, not scoring.  ``threads`` reaches the STP route only.
     """
     A = img.samples
     h, w, c = A.shape
@@ -206,13 +206,11 @@ def run_method(
     t0 = time.perf_counter()
     if method == "stpsvd":
         F = tensor_stp_svd_trunc(A, m2, n2, R, threads=threads)
-        kind = Method.TRUNC_STPSVD
+        test, kind = ImageBuffer(decode_samples(F)[0]), Method.TRUNC_STPSVD
     else:
-        F = t_svd_trunc(A, R)
+        test = tensor_to_image(reconstruct(t_svd_trunc(A, R), drop_imag=True))
         kind = Method.TRUNC_TSVD
-    out = reconstruct(F, drop_imag=True)
     elapsed = time.perf_counter() - t0
-    test = tensor_to_image(out)
     count = storage_count(kind, m1, m2, n1, n2, c, R)
     return BenchReport(
         method=method,

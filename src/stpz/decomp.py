@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, FormatError
+from .imaging import _round_samples
 from .nkp import _split, nkp, rearrange_slices
 from .svd import _fix_phases, svd, svds
 from .tensor import as_array3, as_tensor3, conj_transpose, dft3, idft3
@@ -419,18 +420,18 @@ def _decode_planes(F: TensorStpSvd) -> tuple[np.ndarray, float]:
 
 
 def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
-    """Decode the factors of an image straight to its 8-bit samples.
+    """Decode the factors of an image straight to its 8-bit samples; the one
+    STP decoder, shared by ``stpz decompress`` and ``stpz bench``.
 
     Returns (samples, imag_residue): the uint8 (m, n, l) array that
     ``tensor_to_image(reconstruct(F))`` gives, and the largest modulus of the
     imaginary part of the reconstruction, which is at roundoff level when
     the slices are conjugate-symmetric, as a real image's are.  No complex
-    (m, n, l) tensor is made: the rearranged real plane of every channel
-    comes from one real GEMM of inner size 2l (:func:`_decode_planes`), is
-    clamped to [0, 255] and rounded half up in float64, and the block
-    permutation is undone once, on the uint8 samples.  The plane agrees with ``reconstruct(F).real`` to
-    roundoff, so a sample may differ from the reference by one where the
-    reference lies within roundoff of a k + 0.5 tie.
+    (m, n, l) tensor: one real GEMM of inner size 2l (:func:`_decode_planes`)
+    gives every channel's rearranged real plane, rounded in place by
+    ``tensor_to_image``'s rule and un-rearranged once, as uint8.  The plane
+    agrees with ``reconstruct(F).real`` to roundoff, so a sample may differ
+    from the reference by one where that lies within roundoff of a k + 0.5 tie.
 
     Raises FormatError when the reconstruction is not finite (finite factors
     whose product overflows), and DimensionError unless l is 1 or 3.
@@ -442,12 +443,7 @@ def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
     plane, residue = _decode_planes(F)
     if not (math.isfinite(residue) and np.isfinite(plane).all()):
         raise FormatError("the factors overflow: the reconstruction is not finite")
-    # floor(clip(x, 0, 255) + 0.5) as tensor_to_image takes it: x + 0.5 is
-    # monotone in x, so clamping it to [0.5, 255.5] clamps x to [0, 255], and
-    # the cast truncates these positive values, which floors them.
-    plane += 0.5
-    np.clip(plane, 0.5, 255.5, out=plane)
-    samples = plane.astype(np.uint8).reshape(m1, n1, m2, n2 * l).transpose(0, 2, 1, 3)
+    samples = _round_samples(plane).reshape(m1, n1, m2, n2 * l).transpose(0, 2, 1, 3)
     return np.ascontiguousarray(samples).reshape(m1 * m2, n1 * n2, l), residue
 
 

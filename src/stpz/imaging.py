@@ -139,21 +139,27 @@ def image_to_tensor(img: ImageBuffer) -> np.ndarray:
     return img.samples.astype(np.complex128)
 
 
+def _round_samples(x: np.ndarray) -> np.ndarray:
+    """The 8-bit rounding floor(clip(x, 0, 255) + 0.5), in place on float64 x:
+    x + 0.5 clamped to [0.5, 255.5] clamps x to [0, 255]; the cast floors."""
+    x += 0.5
+    np.clip(x, 0.5, 255.5, out=x)
+    return x.astype(np.uint8)
+
+
 def tensor_to_image(A) -> ImageBuffer:
     """Inverse of :func:`image_to_tensor` for tensors with 1 or 3 slices.
 
-    The real part is clamped to [0, 255] and rounded half away from zero,
-    in float64; imaginary parts above 1e-6 in modulus set ``imag_warning``.
-    A real tensor is taken as it is, with no complex copy.
+    A float64 copy of the real part goes through :func:`_round_samples`, the
+    rounding that :func:`stpz.decomp.decode_samples` also uses; imaginary
+    parts above 1e-6 in modulus set ``imag_warning``.  A real tensor is
+    taken as it is, with no complex copy, and ``A`` is never modified.
     """
     A = as_array3(A)
     if A.shape[2] not in (1, 3):
         raise DimensionError(f"expected 1 or 3 slices, got {A.shape[2]}")
     warn = A.dtype.kind == "c" and bool(np.max(np.abs(A.imag)) > IMAG_TOL)
-    x = np.clip(A.real.astype(np.float64, copy=False), 0.0, 255.0)
-    x += 0.5
-    np.floor(x, out=x)
-    samples = x.astype(np.uint8)
+    samples = _round_samples(np.array(A.real, dtype=np.float64))
     return ImageBuffer(samples, imag_warning=warn)
 
 

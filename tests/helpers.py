@@ -73,3 +73,13 @@ def jacobi_hermitian_eigvals(H, sweeps=200, tol=1e-28) -> np.ndarray:
                 R[q, p] = -s
                 H = R.conj().T @ H @ R
     return np.sort(np.diag(H).real)[::-1]
+
+
+def textured_samples(rng, m, n, l, equal_channels=False):
+    """uint8 image samples: a low-rank Kronecker structure plus noise, with
+    the DFT slices of a real photo-like input."""
+    base = np.kron(rng.uniform(0, 1, (m // 8, n // 8)), rng.uniform(0, 1, (8, 8)))
+    planes = [200 * base + rng.normal(0, 6, (m, n)) for _ in range(l)]
+    if equal_channels:
+        planes = [planes[0]] * l
+    return np.clip(np.rint(np.stack(planes, axis=2)), 0, 255).astype(np.uint8)

@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from helpers import textured_samples
 from stpz import cli
 from stpz.cli import _threads, main
 from stpz.codec import Method, deserialize, serialize, storage_count
-from stpz.decomp import reconstruct, tensor_stp_svd_trunc
+from stpz.decomp import decode_samples, reconstruct, tensor_stp_svd_trunc
 from stpz.errors import NumericError
 from stpz.imaging import ImageBuffer, load_ppm, save_ppm, tensor_to_image
 from stpz.synthetic import structured_test_image
@@ -292,6 +293,29 @@ class TestBenchInfo:
         assert reports["tsvd"]["storage_count"] == storage_count(
             Method.TRUNC_TSVD, 6, 4, 6, 4, 3, 2
         )
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_bench_scores_the_image_decompress_writes(
+        self, tmp_path, capsys, monkeypatch, channels
+    ):
+        calls = []
+        monkeypatch.setattr(
+            cli, "decode_samples", lambda F: calls.append(F.dims) or decode_samples(F)
+        )
+        src, packed, out = tmp_path / "in.ppm", tmp_path / "o.stpz", tmp_path / "o.ppm"
+        samples = textured_samples(np.random.default_rng(40 + channels), 64, 48, channels)
+        src.write_bytes(save_ppm(ImageBuffer(samples)))
+        shape = ("--m2", 4, "--n2", 4, "--rank", 3)
+        assert run(capsys, "compress", "--input", src, *shape, "--output", packed)[0] == 0
+        assert run(capsys, "decompress", "--input", packed, "--output", out)[0] == 0
+        code, metrics = run(capsys, "metrics", "--ref", src, "--test", out)
+        assert code == 0 and metrics["psnr"] != "inf"
+        code, bench = run(capsys, "bench", "--input", src, "--method", "stpsvd", *shape)
+        assert code == 0
+        assert bench["psnr_db"] == metrics["psnr"]
+        assert bench["ssim"] == metrics["ssim"]
+        assert bench["related_error"] == metrics["related_error"]
+        assert calls == [(16, 4, 12, 4, channels)] * 2
 
     def test_info_dump(self, tmp_path, ppm_path, capsys):
         path = tmp_path / "o.stpz"

@@ -2,10 +2,10 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import cplx, rel_err, same_bytes
+from helpers import cplx, rel_err, same_bytes, textured_samples
 from stpz.codec import deserialize, serialize
 from stpz.decomp import (
     MatStpSvd,
@@ -505,16 +505,6 @@ class TestErrorTerms:
         assert err_sq == pytest.approx(predicted, rel=1e-9, abs=1e-20 * energy)
 
 
-def textured_samples(rng, m, n, l, equal_channels=False):
-    """uint8 image samples: a low-rank Kronecker structure plus noise, with
-    the DFT slices of a real photo-like input."""
-    base = np.kron(rng.uniform(0, 1, (m // 8, n // 8)), rng.uniform(0, 1, (8, 8)))
-    planes = [200 * base + rng.normal(0, 6, (m, n)) for _ in range(l)]
-    if equal_channels:
-        planes = [planes[0]] * l
-    return np.clip(np.rint(np.stack(planes, axis=2)), 0, 255).astype(np.uint8)
-
-
 class TestFourierFrontEnd:
     """The STP routes' front end (rearrange once in the input's dtype, then
     the DFT along the stack) against the reference dft3 and rearrange."""
@@ -616,20 +606,22 @@ def assert_conjugate_slices(F):
     """Slice l - i of a real input's factors holds the conjugates of slice
     i's, for every pair 1 <= i < l - i.
 
-    C and sigma match bit for bit, U and V up to the sign of a zero.  The
-    phase convention makes each column's pivot entry of U real: its
-    imaginary part is the rounding residue of z * conj(z) / |z|, which the
-    mirror slice gets negated, unless it is exactly zero; a zero has the
-    same sign in both slices, where conj would flip it.  V takes the same
-    rotation.  Adding 0.0 turns every -0.0 into +0.0.
+    sigma matches bit for bit; U, C and V match in value, and bit for bit up
+    to the sign of a zero.  Both slices are computed alike, so a part that
+    rounds to zero in one rounds to a zero of the same sign in the other,
+    where conj would flip it: for U and V, the imaginary part of each
+    column's pivot entry, which the phase convention makes real; for C, any
+    real or imaginary part that is zero (e.g. -0.0+1.267j in slice 1 and
+    +0.0-1.267j in slice 2).  Adding 0.0 turns every -0.0 into +0.0.
     """
     l = len(F.slices)
     for i in range(1, (l + 1) // 2):
         a, b = F.slices[i], F.slices[l - i]
-        assert same_bytes(b.C, a.C.conj())
         assert same_bytes(b.sigma, a.sigma)
-        for name in ("U", "V"):
-            assert same_bytes(getattr(b, name) + 0.0, getattr(a, name).conj() + 0.0)
+        for name in ("U", "C", "V"):
+            got, want = getattr(b, name), getattr(a, name).conj()
+            assert np.array_equal(got, want)
+            assert same_bytes(got + 0.0, want + 0.0)
 
 
 @st.composite
@@ -653,6 +645,15 @@ class TestConjugateSymmetry:
     tensor_stp_svd_trunc's factors of the pair are conjugates too."""
 
     @given(case=real_symmetric_cases())
+    @example(case=(
+        np.array(
+            [[[248, 194, 190], [207, 147, 26], [237, 21, 245], [211, 239, 45], [5, 157, 159]],
+             [[60, 54, 236], [109, 46, 199], [82, 32, 205], [36, 7, 134], [222, 57, 146]],
+             [[8, 149, 14], [15, 22, 10], [144, 208, 24], [24, 7, 41], [11, 85, 59]]],
+            dtype=np.uint8,
+        ),
+        3, 5, [1, 1, 1],
+    ))  # C[2, 3] is -0.0+1.267j in slice 1 and +0.0-1.267j in slice 2
     @settings(deadline=None, max_examples=200)
     def test_real_input_gives_conjugate_factors(self, case):
         A, m2, n2, R = case

@@ -148,6 +148,17 @@ class TestTensorConversion:
         A = np.array([[[254.5, -3.2, 127.5]]])
         out = tensor_to_image(A).samples.ravel()
         assert list(out) == [255, 0, 128]
+        # The one rounding rule, floor(clip(x, 0, 255) + 0.5), at its edges:
+        # infinities, the clamp bounds, ties, and the doubles next to them.
+        x = np.array([
+            -np.inf, -1e300, -3.2, -0.5, -0.0, 0.0, 0.49999999999999994, 0.5,
+            127.5, 254.5, 255.49999999999997, 255.5, 1e300, np.inf,
+        ])
+        A = x.reshape(1, -1, 1)
+        before = A.copy()
+        want = np.floor(np.clip(x, 0.0, 255.0) + 0.5).astype(np.uint8)
+        assert same_bytes(tensor_to_image(A).samples.ravel(), want)
+        assert same_bytes(A, before)
 
     def test_imag_warning(self):
         A = np.full((1, 1, 1), 10 + 1e-3j)
