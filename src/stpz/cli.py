@@ -1,5 +1,9 @@
 """Command-line interface: compress, decompress, metrics, bench, info.
 
+``compress`` and ``bench`` need m2 to divide the image height and n2 the
+width, and a ``--rank`` of 'full', one integer, or one per channel, each in
+[1, min(m1, n1)] ([1, min(height, width)] for ``bench --method tsvd``).
+
 JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 dimension/validation error, 3 I/O error, 4 malformed file or numerical
 failure (including a container whose reconstruction overflows), 5 out of
@@ -24,6 +28,7 @@ from fractions import Fraction
 from .codec import Method, deserialize, serialize, storage_count
 from .decomp import decode_samples, reconstruct, t_svd_trunc, tensor_stp_svd_trunc
 from .errors import DimensionError, FormatError, NumericError
+from .nkp import _split
 # image_to_tensor is no longer called here: the decompositions take the
 # uint8 samples.  perfbench's tracer still wraps it as cli.image_to_tensor.
 from .imaging import (  # noqa: F401
@@ -84,20 +89,8 @@ def _threads(slices: int) -> int:
     return max(1, min(cap, slices))
 
 
-def _divisors(n: int, limit: int = 16) -> list[int]:
-    out = [d for d in range(2, n + 1) if n % d == 0]
-    return out[:limit]
-
-
-def _check_divides(factor: int, factor_name: str, dim: int, dim_name: str) -> None:
-    if factor < 1 or dim % factor != 0:
-        raise DimensionError(
-            f"--{factor_name} {factor} does not divide {dim_name} {dim}; "
-            f"valid choices include {_divisors(dim)}"
-        )
-
-
 def _parse_rank(spec: str, slices: int, rmax: int) -> list[int]:
+    # The decomposition checks the list's length and range.
     if spec == "full":
         return [rmax] * slices
     try:
@@ -106,16 +99,7 @@ def _parse_rank(spec: str, slices: int, rmax: int) -> list[int]:
         raise DimensionError(
             f"--rank must be 'full', an integer, or a comma list, got {spec!r}"
         )
-    if len(values) == 1:
-        values = values * slices
-    if len(values) != slices:
-        raise DimensionError(
-            f"--rank list has {len(values)} entries, expected {slices}"
-        )
-    for r in values:
-        if not 1 <= r <= rmax:
-            raise DimensionError(f"rank {r} out of range [1, {rmax}]")
-    return values
+    return values * slices if len(values) == 1 else values
 
 
 def _read_bytes(path: str) -> bytes:
@@ -143,15 +127,13 @@ def _cr_str(cr: Fraction) -> str:
 def cmd_compress(args) -> int:
     img = load_ppm(_read_bytes(args.input))
     h, w, c = img.samples.shape
-    _check_divides(args.m2, "m2", h, "image height")
-    _check_divides(args.n2, "n2", w, "image width")
-    m1, n1 = h // args.m2, w // args.n2
+    m1, n1 = _split(h, w, args.m2, args.n2)
     R = _parse_rank(args.rank, c, min(m1, n1))
     t0 = time.perf_counter()
     F = tensor_stp_svd_trunc(img.samples, args.m2, args.n2, R, threads=_threads(c))
     elapsed = time.perf_counter() - t0
     _write_bytes(args.output, serialize(F))
-    count = storage_count(Method.TRUNC_STPSVD, m1, args.m2, n1, args.n2, c, R)
+    count = storage_count(Method.TRUNC_STPSVD, *F.dims, R)
     _emit(
         {
             "storage_count": count,
@@ -198,17 +180,19 @@ def run_method(
 
     STP decodes by :func:`decode_samples`, as ``stpz decompress`` does; T-SVD
     by ``reconstruct`` and ``tensor_to_image``.  The wall time covers both
-    steps, not scoring.  ``threads`` reaches the STP route only.
+    steps, not scoring.  ``threads`` reaches the STP route only.  Any other
+    method raises ValueError.
     """
-    A = img.samples
-    h, w, c = A.shape
-    m1, n1 = h // m2, w // n2
+    if method not in ("stpsvd", "tsvd"):
+        raise ValueError(f"method must be 'stpsvd' or 'tsvd', got {method!r}")
+    h, w, c = img.samples.shape
+    m1, n1 = _split(h, w, m2, n2)
     t0 = time.perf_counter()
     if method == "stpsvd":
-        F = tensor_stp_svd_trunc(A, m2, n2, R, threads=threads)
+        F = tensor_stp_svd_trunc(img.samples, m2, n2, R, threads=threads)
         test, kind = ImageBuffer(decode_samples(F)[0]), Method.TRUNC_STPSVD
     else:
-        test = tensor_to_image(reconstruct(t_svd_trunc(A, R), drop_imag=True))
+        test = tensor_to_image(reconstruct(t_svd_trunc(img.samples, R), drop_imag=True))
         kind = Method.TRUNC_TSVD
     elapsed = time.perf_counter() - t0
     count = storage_count(kind, m1, m2, n1, n2, c, R)
@@ -229,9 +213,8 @@ def run_method(
 def cmd_bench(args) -> int:
     img = load_ppm(_read_bytes(args.input))
     h, w, c = img.samples.shape
-    _check_divides(args.m2, "m2", h, "image height")
-    _check_divides(args.n2, "n2", w, "image width")
-    rmax = min(h // args.m2, w // args.n2) if args.method == "stpsvd" else min(h, w)
+    m1, n1 = _split(h, w, args.m2, args.n2)
+    rmax = min(m1, n1) if args.method == "stpsvd" else min(h, w)
     R = _parse_rank(args.rank, c, rmax)
     _emit(run_method(img, args.method, args.m2, args.n2, R, _threads(c)).to_json())
     return 0

@@ -227,8 +227,7 @@ def mat_stp_svd_trunc(
     :func:`~stpz.nkp.nkp`).
     """
     m1, n1 = _matrix_blocks(A, m2, n2, blocks, "mat_stp_svd_trunc")
-    if not 1 <= r <= min(m1, n1):
-        raise DimensionError(f"rank {r} out of range [1, {min(m1, n1)}]")
+    _check_block_rank([r], 1, min(m1, n1))
     factors = nkp(A, m2, n2, blocks=blocks)
     f = svd(factors.B)
     return MatStpSvd(
@@ -246,9 +245,8 @@ def tensor_stp_svd(A, m2: int, n2: int) -> TensorStpSvd:
     """Full tensor decomposition: :func:`tensor_stp_svd_trunc` at rank
     min(m1, n1) in every slice."""
     A = as_array3(A)
-    m, n, l = A.shape
-    m1, n1 = _split(m, n, m2, n2)
-    return tensor_stp_svd_trunc(A, m2, n2, [min(m1, n1)] * l)
+    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
+    return tensor_stp_svd_trunc(A, m2, n2, [min(m1, n1)] * A.shape[2])
 
 
 def tensor_stp_svd_trunc(
@@ -261,11 +259,12 @@ def tensor_stp_svd_trunc(
     factors.  R[i] != R[l - i] truncates such a pair unevenly and leaves an
     imaginary part in the reconstruction; ``stpz decompress`` drops it with
     a warning."""
+    A = as_array3(A)
+    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
+    R = _check_block_rank(R, A.shape[2], min(m1, n1))
     Ah, dims, real = _fourier_slices(A, m2, n2)
-    m1, _, n1, _, l = dims
-    R = _check_block_rank(R, l, min(m1, n1))
     slices = _slice_map(
-        lambda i: mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)), l, threads
+        lambda i: mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)), len(R), threads
     )
     return TensorStpSvd(slices=slices, dims=dims, real_input=real)
 

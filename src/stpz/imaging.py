@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DimensionError, FormatError, NumericError
 from .tensor import as_array3
 
 __all__ = [
@@ -154,13 +154,14 @@ def tensor_to_image(A) -> ImageBuffer:
     rounding that :func:`stpz.decomp.decode_samples` also uses; imaginary
     parts above 1e-6 in modulus set ``imag_warning``.  A real tensor is
     taken as it is, with no complex copy, and ``A`` is never modified.
+    Infinities clamp to 0 and 255; a NaN sample raises NumericError.
     """
     A = as_array3(A)
-    if A.shape[2] not in (1, 3):
-        raise DimensionError(f"expected 1 or 3 slices, got {A.shape[2]}")
     warn = A.dtype.kind == "c" and bool(np.max(np.abs(A.imag)) > IMAG_TOL)
-    samples = _round_samples(np.array(A.real, dtype=np.float64))
-    return ImageBuffer(samples, imag_warning=warn)
+    x = np.array(A.real, dtype=np.float64)
+    if np.isnan(x).any():
+        raise NumericError("cannot convert a NaN sample to 8 bits")
+    return ImageBuffer(_round_samples(x), imag_warning=warn)
 
 
 def _check_same_shape(ref: ImageBuffer, test: ImageBuffer) -> None:

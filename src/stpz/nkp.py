@@ -49,10 +49,14 @@ class KronFactors:
 
 
 def _split(rows: int, cols: int, m2: int, n2: int) -> tuple[int, int]:
-    if m2 < 1 or n2 < 1 or rows % m2 != 0 or cols % n2 != 0:
-        raise DimensionError(
-            f"block shape {m2}x{n2} does not divide matrix shape {rows}x{cols}"
-        )
+    # (m1, n1) of a rows x cols matrix: the one check that m2 x n2 blocks tile it.
+    for name, factor, dim, side in (("m2", m2, rows, "height"), ("n2", n2, cols, "width")):
+        if factor < 1 or dim % factor:
+            valid = [d for d in range(1, dim + 1) if dim % d == 0][:16]
+            raise DimensionError(
+                f"{name} = {factor} does not divide {side} {dim}; "
+                f"valid choices include {valid}"
+            )
     return rows // m2, cols // n2
 
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .decomp import _check_block_rank
 from .imaging import ImageBuffer, tensor_to_image
+from .nkp import _split
 from .tensor import idft3
 
 __all__ = ["structured_test_image"]
@@ -53,13 +54,8 @@ def structured_test_image(
     Deterministic for a fixed seed.  All samples land strictly inside
     [0, 255] before quantization.
     """
-    if height % m2 != 0 or width % n2 != 0:
-        raise DimensionError(
-            f"block shape {m2}x{n2} does not divide image shape {height}x{width}"
-        )
-    m1, n1 = height // m2, width // n2
-    if rank > min(m1, n1):
-        raise DimensionError(f"rank {rank} exceeds min(m1, n1) = {min(m1, n1)}")
+    m1, n1 = _split(height, width, m2, n2)
+    _check_block_rank([rank], 1, min(m1, n1))
     rng = np.random.default_rng(seed)
 
     # DC slice: dominant positive rank-1 component plus small extra terms so

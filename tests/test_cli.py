@@ -6,10 +6,10 @@ import pytest
 
 from helpers import textured_samples
 from stpz import cli
-from stpz.cli import _threads, main
+from stpz.cli import _threads, main, run_method
 from stpz.codec import Method, deserialize, serialize, storage_count
 from stpz.decomp import decode_samples, reconstruct, tensor_stp_svd_trunc
-from stpz.errors import NumericError
+from stpz.errors import DimensionError, NumericError
 from stpz.imaging import ImageBuffer, load_ppm, save_ppm, tensor_to_image
 from stpz.synthetic import structured_test_image
 
@@ -161,13 +161,15 @@ class TestCompressDecompress:
 
 class TestExitCodes:
     def test_divisibility_exit_2_names_dimension(self, tmp_path, ppm_path, capsys):
-        code = main([
-            "compress", "--input", str(ppm_path), "--m2", "5", "--n2", "4",
-            "--rank", "2", "--output", str(tmp_path / "x.stpz"),
-        ])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "image height 24" in err and "5" in err
+        for m2, n2, want in [(5, 4, "m2 = 5 does not divide height 24"),
+                             (4, 7, "n2 = 7 does not divide width 24")]:
+            code = main([
+                "compress", "--input", str(ppm_path), "--m2", str(m2), "--n2", str(n2),
+                "--rank", "2", "--output", str(tmp_path / "x.stpz"),
+            ])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert want in err and "valid choices include [1, 2, 3, 4, 6, 8, 12, 24]" in err
 
     def test_missing_input_exit_3(self, tmp_path, capsys):
         code = main([
@@ -254,6 +256,28 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("--m2", "5"), ("--n2", "7"), ("--m2", "0"), ("--m2", "-4"),
+            ("--rank", "0"), ("--rank", "99"), ("--rank", "1,2"), ("--rank", "x"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["compress", "stpsvd", "tsvd"])
+    def test_bad_shape_or_rank_exit_2_without_output(self, tmp_path, capsys, command, bad):
+        src, packed = tmp_path / "in.ppm", tmp_path / "x.stpz"
+        src.write_bytes(save_ppm(structured_test_image()))
+        opts = {"--m2": "4", "--n2": "4", "--rank": "2", **dict([bad])}
+        argv = [a for kv in opts.items() for a in kv]
+        if command == "compress":
+            argv = ["compress", "--input", str(src), *argv, "--output", str(packed)]
+        else:
+            argv = ["bench", "--input", str(src), "--method", command, *argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not packed.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestMetrics:
     def test_identical_sentinels(self, ppm_path, capsys):
@@ -316,6 +340,17 @@ class TestBenchInfo:
         assert bench["ssim"] == metrics["ssim"]
         assert bench["related_error"] == metrics["related_error"]
         assert calls == [(16, 4, 12, 4, channels)] * 2
+
+    def test_run_method_rejects_blocks_that_do_not_tile(self):
+        # 24 // 5 truncates: T-SVD's storage would read 270 scalars, not 294.
+        img = structured_test_image(height=24, width=24, m2=4, n2=4, rank=3, seed=7)
+        with pytest.raises(DimensionError, match="m2 = 5 does not divide height 24"):
+            run_method(img, "tsvd", 5, 4, [2] * 3)
+
+    def test_run_method_rejects_unknown_method(self):
+        img = structured_test_image(height=24, width=24, m2=4, n2=4, rank=3, seed=7)
+        with pytest.raises(ValueError, match="got 'svd-typo'"):
+            run_method(img, "svd-typo", 4, 4, [2] * 3)
 
     def test_info_dump(self, tmp_path, ppm_path, capsys):
         path = tmp_path / "o.stpz"

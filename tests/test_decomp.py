@@ -245,12 +245,16 @@ class TestTensorStpSvdTrunc:
         assert F.sigma.size == 2
         assert not reconstruct(F).any()
 
-    def test_block_rank_validation(self):
+    def test_block_rank_validation(self, monkeypatch):
         A = np.zeros((4, 4, 3))
         with pytest.raises(DimensionError):
             tensor_stp_svd_trunc(A, 2, 2, [1, 2])
         with pytest.raises(DimensionError):
             tensor_stp_svd_trunc(A, 2, 2, [1, 2, 3])
+        # A bad rank is rejected before the rearrangement and DFT of A.
+        monkeypatch.setattr(decomp_module, "_fourier_slices", None)
+        with pytest.raises(DimensionError, match="entry 0 out of range"):
+            tensor_stp_svd_trunc(A, 2, 2, [0, 1, 1])
 
 
 class TestTSvd:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import same_bytes
 from stpz import imaging
-from stpz.errors import DimensionError, FormatError
+from stpz.errors import DimensionError, FormatError, NumericError
 from stpz.imaging import (
     ImageBuffer,
     image_to_tensor,
@@ -159,6 +159,9 @@ class TestTensorConversion:
         want = np.floor(np.clip(x, 0.0, 255.0) + 0.5).astype(np.uint8)
         assert same_bytes(tensor_to_image(A).samples.ravel(), want)
         assert same_bytes(A, before)
+        # A NaN has no 8-bit value, even next to an overflowing sample.
+        with pytest.raises(NumericError, match="NaN"):
+            tensor_to_image(np.array([[[np.nan, 1e309, 3.0]]]))
 
     def test_imag_warning(self):
         A = np.full((1, 1, 1), 10 + 1e-3j)

@@ -73,7 +73,7 @@ class TestRearrange:
         )
 
     def test_divisibility_error(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=r"^m2 = 4 does not divide height 6; .* \[1, 2, 3, 6\]$"):
             rearrange(np.zeros((6, 6)), 4, 2)
 
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -132,6 +132,8 @@ class TestRearrangeSlices:
             rearrange_slices(np.zeros((4, 4)), 2, 2)
         with pytest.raises(DimensionError):
             rearrange_slices(np.zeros((4, 4, 2)), 3, 2)
+        with pytest.raises(DimensionError, match=r"^m2 = 0 does not divide height 1; .* \[1\]$"):
+            rearrange_slices(np.zeros((1, 4, 2)), 0, 2)
 
 
 class TestNkp:

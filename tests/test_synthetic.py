@@ -36,7 +36,11 @@ def test_structure_survives_quantization():
 
 
 def test_dimension_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^m2 = 4 does not divide height 97; .* \[1, 97\]$"):
         structured_test_image(height=97)
+    with pytest.raises(DimensionError, match=r"n2 = 5 does not divide width 96; .* \[1, 2, 3, 4, "):
+        structured_test_image(n2=5)
     with pytest.raises(DimensionError):
         structured_test_image(height=8, width=8, m2=4, n2=4, rank=3)
+    with pytest.raises(DimensionError, match=r"entry 0 out of range \[1, 24\]"):
+        structured_test_image(rank=0)
