@@ -52,14 +52,16 @@ class Method(str, Enum):
     TRUNC_STPSVD = "trunc_stpsvd"
 
 
-def _ranks(r, l: int, method: Method) -> list[int]:
+def _ranks(r, l: int, method: Method, rmax: int) -> list[int]:
+    # 0 is a legal rank: a container may hold a slice with no blocks.
     if r is None:
         raise DimensionError(f"method {method.value} requires a truncation rank")
-    if isinstance(r, (int, np.integer)):
-        return [int(r)] * l
-    ranks = [int(v) for v in r]
+    ranks = [int(r)] * l if isinstance(r, (int, np.integer)) else [int(v) for v in r]
     if len(ranks) != l:
         raise DimensionError(f"rank list has length {len(ranks)}, expected {l}")
+    for v in ranks:
+        if not 0 <= v <= rmax:
+            raise DimensionError(f"rank {v} out of range [0, {rmax}]")
     return ranks
 
 
@@ -75,7 +77,8 @@ def storage_count(
     """Number of stored scalars for the given method.
 
     ``r`` (an int, or one int per slice) is required for the truncated
-    methods.  m = m1*m2 and n = n1*n2 are the slice dimensions.
+    methods, each in [0, min(m1, n1)] for TRUNC_STPSVD and [0, min(m, n)]
+    for TRUNC_TSVD.  m = m1*m2 and n = n1*n2 are the slice dimensions.
     """
     m, n = m1 * m2, n1 * n2
     if method is Method.RAW:
@@ -85,9 +88,9 @@ def storage_count(
     if method is Method.FULL_STPSVD:
         return ((m1 + n1 + 1) * min(m1, n1) + m2 * n2) * l
     if method is Method.TRUNC_TSVD:
-        return sum((m + n + 1) * ri for ri in _ranks(r, l, method))
+        return sum((m + n + 1) * ri for ri in _ranks(r, l, method, min(m, n)))
     if method is Method.TRUNC_STPSVD:
-        return sum((m1 + n1 + 1) * ri + m2 * n2 for ri in _ranks(r, l, method))
+        return sum((m1 + n1 + 1) * ri + m2 * n2 for ri in _ranks(r, l, method, min(m1, n1)))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -121,10 +124,7 @@ def serialize(F: TensorStpSvd) -> bytes:
         struct.pack("<5I", m1, m2, n1, n2, l),
         struct.pack(f"<{l}I", *F.block_rank),
     ]
-    for i, s in enumerate(F.slices):
-        r = s.rank
-        if s.U.shape != (m1, r) or s.V.shape != (n1, r) or s.C.shape != (m2, n2):
-            raise DimensionError(f"slice {i} factor shapes are inconsistent")
+    for s in F.slices:
         parts.append(_mat_bytes(s.U))
         parts.append(np.ascontiguousarray(s.sigma, dtype="<f8").tobytes())
         parts.append(_mat_bytes(s.C))

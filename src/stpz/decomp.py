@@ -186,17 +186,6 @@ def _stack_dft(S: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fourier_slices(A, m2: int, n2: int) -> tuple[np.ndarray, tuple, bool]:
-    """The STP routes' front end: (Ah, dims, real_input), where Ah[i] is the
-    C-contiguous (m1*n1) x (m2*n2) rearrangement of Fourier slice i of A,
-    bitwise equal to ``rearrange(dft3(A)[:, :, i], m2, n2)``, and dims is
-    (m1, m2, n1, n2, l).  No complex copy of A is made."""
-    A, real = _as_input(A)
-    m, n, l = A.shape
-    m1, n1 = _split(m, n, m2, n2)
-    return _stack_dft(rearrange_slices(A, m2, n2)), (m1, m2, n1, n2, l), real
-
-
 def _matrix_blocks(A, m2: int, n2: int, blocks, name: str) -> tuple[int, int]:
     # (m1, n1) of a matrix, or the given blocks when A is its rearrangement
     # (which nkp checks).
@@ -259,14 +248,18 @@ def tensor_stp_svd_trunc(
     factors.  R[i] != R[l - i] truncates such a pair unevenly and leaves an
     imaginary part in the reconstruction; ``stpz decompress`` drops it with
     a warning."""
-    A = as_array3(A)
-    m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
-    R = _check_block_rank(R, A.shape[2], min(m1, n1))
-    Ah, dims, real = _fourier_slices(A, m2, n2)
+    A, real = _as_input(A)
+    m, n, l = A.shape
+    m1, n1 = _split(m, n, m2, n2)
+    R = _check_block_rank(R, l, min(m1, n1))
+    # Ah[i] is the C-contiguous (m1*n1) x (m2*n2) rearrangement of Fourier
+    # slice i, bitwise equal to rearrange(dft3(A)[:, :, i], m2, n2), with no
+    # complex copy of A.
+    Ah = _stack_dft(rearrange_slices(A, m2, n2))
     slices = _slice_map(
-        lambda i: mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)), len(R), threads
+        lambda i: mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)), l, threads
     )
-    return TensorStpSvd(slices=slices, dims=dims, real_input=real)
+    return TensorStpSvd(slices=slices, dims=(m1, m2, n1, n2, l), real_input=real)
 
 
 def t_svd(A) -> TSvdFactors:
@@ -342,6 +335,9 @@ def _check_slices(F: TensorStpSvd) -> None:
             raise DimensionError(
                 f"slice {i} dims {s.dims} differ from {(m1, m2, n1, n2)}"
             )
+        r = s.rank
+        if s.U.shape != (m1, r) or s.C.shape != (m2, n2) or s.V.shape != (n1, r):
+            raise DimensionError(f"slice {i} factor shapes are inconsistent")
 
 
 def _reconstruct_mat_slice(s: MatStpSvd) -> np.ndarray:
@@ -375,18 +371,6 @@ def reconstruct(F, drop_imag: bool = False):
     return out.real.copy() if drop_imag else out
 
 
-def _idft_weights(l: int) -> np.ndarray:
-    # w[k, j] = omega^(jk) / l with omega = exp(2 pi i / l), the weight of
-    # Fourier slice j in spatial slice k; l = 3 takes the exact -0.5 and
-    # pocketfft's sin(2 pi / 3).
-    if l == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    jk = np.outer(np.arange(3), np.arange(3)) % 3
-    cos = np.array([1.0, -0.5, -0.5])[jk]
-    sin = np.array([0.0, _SIN_2PI_3, -_SIN_2PI_3])[jk]
-    return (cos + 1j * sin) * (1.0 / 3.0)
-
-
 def _decode_planes(F: TensorStpSvd) -> tuple[np.ndarray, float]:
     """The real part of ``reconstruct(F)`` from the compact factors, as an
     (m1*n1) x (m2*n2*l) matrix whose entry ((a, b), (c, d, k)) is spatial
@@ -401,7 +385,9 @@ def _decode_planes(F: TensorStpSvd) -> tuple[np.ndarray, float]:
     are silenced.
     """
     m1, m2, n1, n2, l = F.dims
-    w = _idft_weights(l)
+    # w[k, j] = omega^(jk) / l with omega = exp(2 pi i / l), the weight of
+    # Fourier slice j in spatial slice k, as idft3 has it.
+    w = np.fft.ifft(np.eye(l), axis=0)
     left = np.empty((2 * l, m1 * n1))
     right = np.empty((2, 2 * l, m2 * n2, l))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -61,10 +61,22 @@ class TestStorageFormulas:
         assert storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, R) == expected
         uniform = storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, 2)
         assert uniform == storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, [2, 2, 2])
+        # A container may hold slices of rank 0; they keep only C.
+        assert storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, 0) == 3 * m2 * n2
 
     def test_missing_rank_rejected(self):
-        with pytest.raises(DimensionError):
-            storage_count(Method.TRUNC_TSVD, 2, 2, 2, 2, 3)
+        # Ranks lie in [0, min(m1, n1)] = [0, 2], or [0, min(m, n)] = [0, 4]
+        # for the T-SVD.
+        for method, l, r in [
+            (Method.TRUNC_TSVD, 3, None),
+            (Method.TRUNC_STPSVD, 1, -5),
+            (Method.TRUNC_STPSVD, 1, 99),
+            (Method.TRUNC_STPSVD, 3, [0, 3, 1]),
+            (Method.TRUNC_TSVD, 3, [4, 5, 4]),
+            (Method.TRUNC_TSVD, 1, -1),
+        ]:
+            with pytest.raises(DimensionError):
+                storage_count(method, 2, 2, 2, 2, l, r)
 
     def test_stpsvd_beats_tsvd_on_grid(self):
         for m1 in (2, 4, 8):

@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from stpz.decomp import (
 )
 from stpz.errors import DimensionError
 from stpz.imaging import IMAG_TOL, tensor_to_image
-from stpz.nkp import nkp, rearrange
+from stpz.nkp import nkp, rearrange, rearrange_slices
 from stpz.svd import svd
 from stpz.tensor import (
     dft3,
@@ -49,6 +50,15 @@ def kron_structured_tensor(rng, m1, m2, n1, n2, l, rank=None):
             B = cplx(rng, m1, rank) @ cplx(rng, rank, n1)
         Th[:, :, i] = np.kron(B, cplx(rng, m2, n2))
     return idft3(Th)
+
+
+def misshapen_factors(rng):
+    """Factors of a 12 x 8 x 3 image at m2 = 3, n2 = 2 in which slice 1 keeps
+    its dims but has C transposed, or U with fewer columns than sigma."""
+    F = tensor_stp_svd_trunc(rng.integers(0, 256, size=(12, 8, 3), dtype=np.uint8), 3, 2, [2] * 3)
+    s = F.slices[1]
+    for bad in (replace(s, C=s.C.T), replace(s, U=s.U[:, :1])):
+        yield replace(F, slices=[F.slices[0], bad, F.slices[2]])
 
 
 class TestMatStpSvd:
@@ -252,7 +262,8 @@ class TestTensorStpSvdTrunc:
         with pytest.raises(DimensionError):
             tensor_stp_svd_trunc(A, 2, 2, [1, 2, 3])
         # A bad rank is rejected before the rearrangement and DFT of A.
-        monkeypatch.setattr(decomp_module, "_fourier_slices", None)
+        monkeypatch.setattr(decomp_module, "_stack_dft", None)
+        monkeypatch.setattr(decomp_module, "rearrange_slices", None)
         with pytest.raises(DimensionError, match="entry 0 out of range"):
             tensor_stp_svd_trunc(A, 2, 2, [0, 1, 1])
 
@@ -387,6 +398,9 @@ class TestReconstructErrors:
         F.slices[1] = mat_stp_svd(cplx(rng, 6, 6), 3, 3)
         with pytest.raises(DimensionError):
             reconstruct(F)
+        for F in misshapen_factors(rng):
+            with pytest.raises(DimensionError, match="factor shapes"):
+                reconstruct(F)
 
     def test_unknown_type(self):
         with pytest.raises(TypeError):
@@ -538,9 +552,10 @@ class TestFourierFrontEnd:
             A = rng.choice(np.array([0.0, -0.0, 1.5, -2.25, np.pi]), size=shape).astype(dtype)
         else:
             A = rng.normal(size=shape) + 1j * rng.choice(np.array([0.0, -0.0, 1.0]), size=shape)
-        Ah, dims, real = decomp_module._fourier_slices(A, m2, n2)
-        assert dims == (m1, m2, n1, n2, l)
-        assert real == bool(np.all(np.imag(A) == 0))
+        F = tensor_stp_svd_trunc(A, m2, n2, [1] * l)
+        assert F.dims == (m1, m2, n1, n2, l)
+        assert F.real_input == bool(np.all(np.imag(A) == 0))
+        Ah = decomp_module._stack_dft(rearrange_slices(A, m2, n2))
         ref = dft3(A)
         assert Ah.shape == (l, m1 * n1, m2 * n2)
         for i in range(l):
@@ -801,3 +816,6 @@ class TestDecodeSamples:
         F.slices[1] = mat_stp_svd(cplx(rng, 6, 6), 3, 3)
         with pytest.raises(DimensionError):
             decode_samples(F)
+        for F in misshapen_factors(rng):
+            with pytest.raises(DimensionError, match="factor shapes"):
+                decode_samples(F)

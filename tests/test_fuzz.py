@@ -1,17 +1,22 @@
 """Mutation fuzzing of the two decoders: ``codec.deserialize`` (STPZ
-containers) and ``imaging.load_ppm`` (PPM/PGM images).
+containers) and ``imaging.load_ppm`` (PPM/PGM images), and of the exit codes
+of the ``stpz`` commands that read them.
 
 Each case starts from a valid file and applies 1-4 drawn mutations.  A
 decoder must either raise FormatError or return a valid result; any other
-exception fails the test.
+exception fails the test.  A command must exit with one of its documented
+codes, printing exactly one ``error:`` line when it fails.
 """
 
+import contextlib
+import io
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stpz import cli
 from stpz.codec import deserialize, serialize
 from stpz.decomp import tensor_stp_svd_trunc
 from stpz.errors import FormatError
@@ -29,6 +34,14 @@ PGM_HEADER = b"P5\n# a comment\n4\t3\n255\n"
 PGM = PGM_HEADER + bytes(_SAMPLES[:3, :4, 0].ravel())
 # Each image file and the length of its header.
 IMAGES = {"ppm": (PPM, len(PPM) - 5 * 4 * 3), "pgm": (PGM, len(PGM_HEADER))}
+# Images large enough for SSIM's 11 x 11 window, for ``stpz metrics``, and
+# the lengths of their headers.
+_BIG = np.random.default_rng(81).integers(0, 256, size=(12, 13, 3), dtype=np.uint8)
+_BIG_PPM, _BIG_PGM = save_ppm(ImageBuffer(_BIG)), save_ppm(ImageBuffer(_BIG[:, :, :1]))
+BIG_IMAGES = {
+    "ppm": (_BIG_PPM, len(_BIG_PPM) - _BIG.size),
+    "pgm": (_BIG_PGM, len(_BIG_PGM) - _BIG.size // 3),
+}
 
 # u32 values at the edges of the header fields' ranges.
 _EDGE_U32 = [0, 1, 2, 3, 4, 255, 256, 2**16, 2**31 - 1, 2**31, 2**32 - 1]
@@ -82,8 +95,50 @@ def test_load_ppm_rejects_or_gives_an_image(name, data):
     assert img.samples.dtype == np.uint8
 
 
-def test_valid_inputs_decode():
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+def run_cli(*argv) -> tuple[int, list[str]]:
+    """``stpz``'s exit code for ``argv``, and the ``error:`` lines it printed."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=300)
+def test_info_exits_0_or_4(workdir, data):
+    path = workdir / "info.stpz"
+    path.write_bytes(mutate(data, STPZ, STPZ_HEADER, 4))
+    code, errors = run_cli("info", "--input", path)
+    assert code in (0, 4)
+    assert len(errors) == (code != 0)
+
+
+@pytest.mark.parametrize("name", ["ppm", "pgm"])
+@given(data=st.data())
+@settings(deadline=None, max_examples=200)
+def test_metrics_exits_0_2_or_4(workdir, name, data):
+    ref, test = workdir / f"ref.{name}", workdir / f"test.{name}"
+    ref.write_bytes(BIG_IMAGES[name][0])
+    test.write_bytes(mutate(data, *BIG_IMAGES[name], 1))
+    code, errors = run_cli("metrics", "--ref", ref, "--test", test)
+    assert code in (0, 2, 4)
+    assert len(errors) == (code != 0)
+
+
+def test_valid_inputs_decode(workdir):
     assert serialize(deserialize(STPZ)) == STPZ
+    path = workdir / "valid.stpz"
+    path.write_bytes(STPZ)
+    assert run_cli("info", "--input", path) == (0, [])
+    for name, (image, _) in BIG_IMAGES.items():
+        path = workdir / f"valid.{name}"
+        path.write_bytes(image)
+        assert run_cli("metrics", "--ref", path, "--test", path) == (0, [])
     assert load_ppm(PPM).samples.shape == (5, 4, 3)
     gray = load_ppm(PGM)
     assert gray.samples.shape == (3, 4, 1)
