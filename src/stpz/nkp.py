@@ -8,11 +8,12 @@ every frontal slice of a third-order array at once, in its own dtype.
 to produce the Frobenius-optimal factor pair (B, C) with A ≈ B ⊗ C.  The
 triplet comes from the Lanczos solver :func:`~stpz.svd.leading_triplet`.
 The dense :func:`~stpz.svd.svd` is used instead for small rearrangements,
-where it is faster, and as the fallback when Lanczos does not converge.
-Lanczos converges within its budget when the relative gap sigma_2/sigma_1
-of the rearrangement is below about 0.9; a flat leading spectrum, as in
-noise-dominated input, spends the budget and then pays for the dense SVD
-too.
+where it is faster.  When Lanczos does not converge, the triplet comes from
+:func:`~stpz.svd.svds` at r = 1, which takes it from the short-side Gram
+matrix.  Lanczos converges within its budget when the relative gap
+sigma_2/sigma_1 of the rearrangement is below about 0.9; a flat leading
+spectrum, as in noise-dominated input, spends the budget before the Gram
+fallback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .svd import leading_triplet, svd
+from .svd import leading_triplet, svd, svds
 
 __all__ = ["KronFactors", "rearrange", "rearrange_slices", "nkp"]
 
@@ -97,8 +98,12 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     vectors of the rearrangement (column-major vec).  A zero input returns
     zero factors.  On the Lanczos path the pair is optimal unless the
     input is built so that v1 is orthogonal to the solver's fixed start
-    (see :func:`~stpz.svd.leading_triplet`); ``residual`` is the norm of
-    A - B ⊗ C for the returned pair either way.
+    (see :func:`~stpz.svd.leading_triplet`).  On the Gram fallback, B ⊗ C
+    is the orthogonal projection of the rearrangement R onto its top Gram
+    eigenvector q (R q q^H for a tall R, q q^H R for a wide one), whose
+    angle to the leading singular vector is about
+    eps * s1^2 / (s1^2 - s2^2) (see :func:`~stpz.svd.svds`).  ``residual``
+    is the norm of A - B ⊗ C for the returned pair either way.
 
     With ``blocks=(m1, n1)``, A is not the matrix but its (m1*n1) x (m2*n2)
     rearrangement, as :func:`rearrange` or :func:`rearrange_slices` give
@@ -118,9 +123,9 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
             raise DimensionError(
                 f"rearrangement shape {R.shape} is not {(m1 * n1, m2 * n2)}"
             )
-    f = leading_triplet(R) if R.size * min(R.shape) > _DENSE_WORK else None
+    f = svd(R) if R.size * min(R.shape) <= _DENSE_WORK else leading_triplet(R)
     if f is None:
-        f = svd(R)
+        f = svds(R, 1)
     s1 = np.sqrt(f.sigma[0])
     B = (s1 * f.U[:, 0]).reshape((m1, n1), order="F")
     # The rank-1 term of R is sigma_1 u1 v1^H while the Kronecker identity

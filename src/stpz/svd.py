@@ -1,4 +1,4 @@
-"""Dense SVD kernel with a deterministic phase convention.
+"""SVD kernels with a deterministic phase convention.
 
 ``svd`` returns thin factors (min(m, n) triplets) with each left singular
 vector rotated so that its largest-modulus entry is real and positive, ties
@@ -7,6 +7,12 @@ Repeated calls on identical input are therefore bitwise reproducible, which
 downstream factorizations rely on for stable truncation prefixes.  A
 real-dtype input takes LAPACK's real-arithmetic SVD and gives real factors, for
 which the rotation is a sign.
+
+``svds`` gives the leading r triplets: the dense SVD's prefix for
+r > min(m, n) / 2, and otherwise the Rayleigh–Ritz triplets of the top r
+eigenvectors of the short-side Gram matrix.  ``leading_triplet`` is
+a Lanczos solver for the first triplet alone.  All three follow the phase
+convention.
 """
 
 from __future__ import annotations
@@ -153,11 +159,74 @@ def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return x
 
 
+def _gram(X: np.ndarray) -> np.ndarray:
+    # X^H X of a tall X.  A complex X is viewed as real columns (re, im)
+    # interleaved, and one real product P = Y^T Y gives both parts:
+    # Re G = P_rr + P_ii and Im G = P_ri - P_ir.  This is exactly Hermitian,
+    # and exactly conj(G) for conj(X), since conjugation only negates the
+    # imaginary columns of Y.
+    if not np.iscomplexobj(X):
+        return X.T @ X
+    Y = np.ascontiguousarray(X).view(np.float64)
+    P = Y.T @ Y
+    G = np.empty((X.shape[1], X.shape[1]), dtype=np.complex128)
+    G.real = P[0::2, 0::2] + P[1::2, 1::2]
+    G.imag = P[0::2, 1::2] - P[1::2, 0::2]
+    return G
+
+
 def svds(A, r: int) -> SvdResult:
-    """Leading r singular triplets of :func:`svd`, real for real input."""
+    """Leading r singular triplets, real for real input, in :func:`svd`'s
+    phase convention.
+
+    When r > k / 2, with k = min(m, n), the result is the first r
+    triplets of :func:`svd`, bit for bit.  Otherwise it comes from the
+    k x k Gram matrix G = X^H X of the tall side X (A, or A^H for a wide
+    A): Q holds the top r eigenvectors of G, and the triplets are the
+    Rayleigh–Ritz ones, ``svd(X @ Q)`` with its right vectors mapped back
+    through Q.  U and V
+    are then orthonormal to roundoff, and U diag(sigma) V^H is the
+    orthogonal projection of A onto span(Q) (A Q Q^H for a tall A).  The
+    angle between span(Q) and the leading right singular subspace is about
+    eps * sigma_1^2 / (sigma_r^2 - sigma_{r+1}^2) (Golub & Van Loan,
+    *Matrix Computations*, on the symmetric eigenproblem); sigma and the
+    truncation residual ||A - U diag(sigma) V^H|| are off by the square of
+    that angle, and each sigma_i by about eps * sigma_1^2 / sigma_i
+    besides.  Entries outside [1e-100, 1e100] in magnitude, where the
+    squares would overflow or underflow, take the dense route.
+
+    The split at k / 2 is where the two routes cost about the same, at
+    every size measured.  On 18 shapes from 16 x 16 to 128 x 128 and 4096 x 4, real and
+    complex (2 vCPU, OpenBLAS, median of 41 calls, two runs), the Gram side
+    took 0.26-0.67 of the dense time at r = 1 and 0.52-1.08 of it at
+    r = k / 2.
+    """
     A = _as_matrix(A, "svds")
-    p = min(A.shape)
-    if not 1 <= r <= p:
-        raise DimensionError(f"truncation rank {r} out of range [1, {p}]")
+    k = min(A.shape)
+    if not 1 <= r <= k:
+        raise DimensionError(f"truncation rank {r} out of range [1, {k}]")
+    if 2 * r <= k:
+        top = float(np.abs(A).max())
+        if not np.isfinite(top):
+            raise NumericError("svds input contains NaN or Inf")
+        # In this range the squares in the Gram matrix neither overflow nor
+        # lose precision to underflow.
+        if top == 0.0 or 1e-100 < top < 1e100:
+            return _gram_svds(A, r)
     full = svd(A)
     return SvdResult(U=full.U[:, :r].copy(), sigma=full.sigma[:r].copy(), V=full.V[:, :r].copy())
+
+
+def _gram_svds(A: np.ndarray, r: int) -> SvdResult:
+    # Rayleigh–Ritz triplets of the tall side X of A on its top r Gram
+    # eigenvectors, swapped back and phase-fixed for a wide A = X^H.
+    wide = A.shape[0] < A.shape[1]
+    X = A.conj().T if wide else A
+    _, E = np.linalg.eigh(_gram(X))
+    Q = E[:, : -r - 1 : -1]
+    f = svd(X @ Q)
+    U, V = f.U, Q @ f.V
+    if wide:
+        U, V = V, U
+        _fix_phases(U, V)
+    return SvdResult(U=U, sigma=f.sigma, V=V)

@@ -25,7 +25,7 @@ from stpz.decomp import (
 from stpz.errors import DimensionError
 from stpz.imaging import IMAG_TOL, tensor_to_image
 from stpz.nkp import nkp, rearrange, rearrange_slices
-from stpz.svd import svd
+from stpz.svd import SvdResult, svd
 from stpz.tensor import (
     dft3,
     frobenius_norm,
@@ -310,6 +310,20 @@ class TestTSvd:
         A = cplx(rng, 4, 4, 2)
         F = t_svd_trunc(A, [4, 4])
         assert rel_err(reconstruct(F), A) <= 1e-9
+
+    def test_trunc_gram_side_matches_the_dense_path(self, monkeypatch):
+        # At 96 x 96 with R <= 48 svds takes its Gram side; the reference
+        # keeps the prefix of each slice's dense svd instead.
+        A = textured_samples(np.random.default_rng(25), 96, 96, 3)
+        R = [20, 12, 12]
+        got = reconstruct(t_svd_trunc(A, R))
+
+        def dense_prefix(M, r):
+            f = svd(M)
+            return SvdResult(U=f.U[:, :r], sigma=f.sigma[:r], V=f.V[:, :r])
+
+        monkeypatch.setattr(decomp_module, "svds", dense_prefix)
+        assert rel_err(got, reconstruct(t_svd_trunc(A, R))) <= 1e-10
 
     def test_trunc_rank_validation(self):
         with pytest.raises(DimensionError):
@@ -691,6 +705,21 @@ class TestConjugateSymmetry:
         A = textured_samples(np.random.default_rng(70 + seed), 256, 256, 3)
         assert_conjugate_slices(tensor_stp_svd_trunc(A, 8, 8, [8, 5, 5]))
         assert calls == [(1024, 64)] * 3
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_gram_fallback_gives_conjugate_factors(self, monkeypatch, seed):
+        # Zero-mean noise has a flat rearranged spectrum in every slice, so
+        # Lanczos exhausts its budget and each triplet comes from svds,
+        # which takes the Gram side at 1024 x 64.
+        nkp_module = importlib.import_module("stpz.nkp")
+        calls = []
+        real_svds = nkp_module.svds
+        monkeypatch.setattr(
+            nkp_module, "svds", lambda R, r: calls.append((R.shape, r)) or real_svds(R, r)
+        )
+        A = np.random.default_rng(80 + seed).normal(size=(256, 256, 3))
+        assert_conjugate_slices(tensor_stp_svd_trunc(A, 8, 8, [8, 5, 5]))
+        assert calls == [((1024, 64), 1)] * 3
 
 
 def random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate):

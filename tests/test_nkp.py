@@ -242,23 +242,29 @@ class TestNkp:
         assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-10
         assert f.residual == pytest.approx(tail, rel=1e-9)
 
-    def test_flat_spectrum_falls_back_to_dense(self, monkeypatch):
+    def test_flat_spectrum_falls_back_to_gram(self, monkeypatch):
         # A rearrangement with relative gaps of 0.2% outlasts the Lanczos
-        # budget; nkp then takes the triplet from its ``svd`` name.
+        # budget; nkp then takes the triplet from ``svds`` at r = 1, which
+        # takes the Gram side at this size, and never calls the dense svd.
         spy = CountingSvd()
         monkeypatch.setattr(nkp_module, "svd", spy)
+        ranks = []
+        real_svds = nkp_module.svds
+        monkeypatch.setattr(
+            nkp_module, "svds", lambda M, r: ranks.append((M.shape, r)) or real_svds(M, r)
+        )
         rng = np.random.default_rng(12)
         k = 8
         assert k * k > svd_module._GKL_STEPS
+        assert (k * k) ** 3 > nkp_module._DENSE_WORK
         R = with_spectrum(rng, k * k, k * k, np.linspace(1.0, 0.9, k * k))
         A = unrearrange(R, k, k, k, k)
         f = nkp(A, k, k)
-        assert spy.calls == 1
-        d = svd(R)
-        s1 = np.sqrt(d.sigma[0])
-        assert np.array_equal(f.B, (s1 * d.U[:, 0]).reshape((k, k), order="F"))
-        assert np.array_equal(f.C, (s1 * np.conj(d.V[:, 0])).reshape((k, k), order="F"))
-        assert f.residual == pytest.approx(np.linalg.norm(d.sigma[1:]), rel=1e-12)
+        assert spy.calls == 0
+        assert ranks == [((k * k, k * k), 1)]
+        ref, tail = dense_kron(A, k, k)
+        assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-12
+        assert f.residual == pytest.approx(tail, rel=1e-12)
 
 
 class TestRearrangedInput:

@@ -248,3 +248,122 @@ class TestLeadingTriplet:
             leading_triplet(A)
         with pytest.raises(DimensionError):
             leading_triplet(np.ones(3))
+
+
+def gram_case(kind, m, n, dtype, rng):
+    """Gaussian matrix, (m + n) x n tall, n x (m + n) wide or n x n square."""
+    shape = {"tall": (m + n, n), "wide": (n, m + n), "square": (n, n)}[kind]
+    A = rng.normal(size=shape)
+    return A + 1j * rng.normal(size=shape) if dtype == "complex" else A
+
+
+def assert_gram_triplets(A, r):
+    """svds(A, r) against the dense svd: orthonormal factors, sigma, the
+    truncation residual, the phase rule and the factors' dtype."""
+    f, d = svds(A, r), svd(A)
+    m, n = A.shape
+    assert f.U.shape == (m, r) and f.V.shape == (n, r) and f.sigma.shape == (r,)
+    for X in (f.U, f.V):
+        assert X.dtype == A.dtype
+        assert np.abs(X.conj().T @ X - np.eye(r)).max() <= 1e-12
+    assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
+    assert np.abs(f.sigma - d.sigma[:r]).max() <= 1e-10 * max(d.sigma[0], 1e-300)
+    tail = np.linalg.norm(d.sigma[r:])
+    assert np.linalg.norm(A - recon(f)) == pytest.approx(
+        tail, rel=1e-9, abs=1e-12 * np.linalg.norm(A)
+    )
+    for j in range(r):
+        i = int(np.argmax(np.abs(f.U[:, j])))
+        assert f.U[i, j].imag == pytest.approx(0.0, abs=1e-14) and f.U[i, j].real > 0
+    return f
+
+
+class TestSvdsGram:
+    """svds with r <= min(m, n) / 2: the Gram eigenvectors and their
+    Rayleigh–Ritz triplets."""
+
+    @pytest.fixture
+    def gram_calls(self, monkeypatch):
+        # Shapes of the matrices svds hands to svd: on the Gram side only
+        # the n x r or m x r Ritz products, never A itself.
+        shapes = []
+        real_svd = svd_module.svd
+        monkeypatch.setattr(svd_module, "svd", lambda M: shapes.append(M.shape) or real_svd(M))
+        return shapes
+
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["tall", "wide", "square"])
+    def test_matches_dense(self, gram_calls, kind, dtype):
+        rng = np.random.default_rng(40)
+        A = gram_case(kind, 40, 64, dtype, rng)
+        for r in (1, 7, 32):
+            gram_calls.clear()
+            assert_gram_triplets(A, r)
+            assert gram_calls[0] == (max(A.shape), r)
+
+    @given(
+        kind=st.sampled_from(["tall", "wide", "square"]),
+        dtype=st.sampled_from(["real", "complex"]),
+        m=st.integers(0, 12),
+        n=st.integers(2, 12),
+        data=st.data(),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_every_rank_up_to_half(self, kind, dtype, m, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        A = gram_case(kind, m, n, dtype, rng)
+        assert_gram_triplets(A, data.draw(st.integers(1, min(A.shape) // 2)))
+
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    def test_r_above_the_rank(self, dtype):
+        # Rank 3 with r = 10: the Ritz values past the rank are roundoff,
+        # and the truncation residual is zero to roundoff.
+        rng = np.random.default_rng(41)
+        A = gram_case("tall", 87, 3, dtype, rng) @ gram_case("wide", 47, 3, dtype, rng)
+        f = assert_gram_triplets(A, 10)
+        assert np.all(f.sigma[3:] <= 1e-12 * f.sigma[0])
+
+    @pytest.mark.parametrize("shape", [(80, 50), (50, 80)])
+    def test_zero_matrix(self, gram_calls, shape):
+        f = assert_gram_triplets(np.zeros(shape), 5)
+        assert not f.sigma.any()
+        assert gram_calls == [(80, 5)]
+
+    def test_deterministic_bitwise(self):
+        rng = np.random.default_rng(42)
+        A = cplx(rng, 70, 90)
+        f1, f2 = svds(A, 12), svds(A.copy(), 12)
+        assert np.array_equal(f1.U, f2.U)
+        assert np.array_equal(f1.sigma, f2.sigma)
+        assert np.array_equal(f1.V, f2.V)
+
+    @pytest.mark.parametrize("shape", [(90, 70), (70, 90)])
+    def test_conjugate_input_gives_conjugate_factors(self, shape):
+        # The Gram matrix of conj(X) is exactly conj(G), so the conjugate of
+        # a matrix gets the conjugate triplets, up to the sign of a zero.
+        rng = np.random.default_rng(43)
+        A = cplx(rng, *shape)
+        f, g = svds(A, 12), svds(A.conj(), 12)
+        assert np.array_equal(g.sigma, f.sigma)
+        assert np.array_equal(g.U, f.U.conj()) and np.array_equal(g.V, f.V.conj())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        A = np.ones((80, 50), dtype=np.complex128)
+        A[3, 7] = bad
+        with pytest.raises(NumericError):
+            svds(A, 5)
+
+    @pytest.mark.parametrize(
+        "shape, r, scale",
+        [((80, 50), 26, 1.0), ((50, 80), 50, 1.0), ((80, 50), 5, 1e-150), ((80, 50), 5, 1e150)],
+    )
+    def test_dense_prefix_outside_the_gram_side(self, gram_calls, shape, r, scale):
+        # r > k / 2 and entries whose squares would underflow or overflow
+        # take the dense svd's prefix, bit for bit.
+        rng = np.random.default_rng(44)
+        A = scale * cplx(rng, *shape)
+        f, d = svds(A, r), svd(A)
+        assert gram_calls[0] == shape
+        assert np.array_equal(f.U, d.U[:, :r]) and np.array_equal(f.V, d.V[:, :r])
+        assert np.array_equal(f.sigma, d.sigma[:r])
