@@ -11,7 +11,7 @@ Container layout ("STPZ" v1, little-endian, no padding):
     flags    u8       bit0 = originally-real input, other bits reserved 0
     reserved 2 bytes  0
     m1 m2 n1 n2 l     u32 each
-    R        l x u32  per-slice retained rank
+    R        l x u32  per-slice retained rank, each in [1, min(m1, n1)]
     per slice i:      U_i (m1 x R_i complex), sigma_i (R_i f64),
                       C_i (m2 x n2 complex), V_i (n1 x R_i complex)
 
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomp import MatStpSvd, TensorStpSvd, _check_slices
+from .decomp import MatStpSvd, TensorStpSvd, _check_block_rank, _check_dims, _check_slices
 from .errors import DimensionError, FormatError
 
 __all__ = [
@@ -53,16 +53,9 @@ class Method(str, Enum):
 
 
 def _ranks(r, l: int, method: Method, rmax: int) -> list[int]:
-    # 0 is a legal rank: a container may hold a slice with no blocks.
     if r is None:
         raise DimensionError(f"method {method.value} requires a truncation rank")
-    ranks = [int(r)] * l if isinstance(r, (int, np.integer)) else [int(v) for v in r]
-    if len(ranks) != l:
-        raise DimensionError(f"rank list has length {len(ranks)}, expected {l}")
-    for v in ranks:
-        if not 0 <= v <= rmax:
-            raise DimensionError(f"rank {v} out of range [0, {rmax}]")
-    return ranks
+    return _check_block_rank([r] * l if isinstance(r, (int, np.integer)) else r, l, rmax)
 
 
 def storage_count(
@@ -77,7 +70,7 @@ def storage_count(
     """Number of stored scalars for the given method.
 
     ``r`` (an int, or one int per slice) is required for the truncated
-    methods, each in [0, min(m1, n1)] for TRUNC_STPSVD and [0, min(m, n)]
+    methods, each in [1, min(m1, n1)] for TRUNC_STPSVD and [1, min(m, n)]
     for TRUNC_TSVD.  m = m1*m2 and n = n1*n2 are the slice dimensions.
     """
     m, n = m1 * m2, n1 * n2
@@ -158,8 +151,17 @@ class _Reader:
         return self.array(rows * cols, "<c16", what).reshape((rows, cols), order="F")
 
 
+def _check_header(at: int, check, *args) -> None:
+    """``check(*args)``, its DimensionError raised as a FormatError at ``at``."""
+    try:
+        check(*args)
+    except DimensionError as exc:
+        raise FormatError(str(exc), at) from None
+
+
 def deserialize(data: bytes) -> TensorStpSvd:
-    """Decode an STPZ v1 container; exact inverse of :func:`serialize`."""
+    """Decode an STPZ v1 container; exact inverse of :func:`serialize`.  Its
+    dims and ranks pass serialize's checks before any payload is read."""
     rd = _Reader(bytes(data))
     if rd.take(4, "magic") != MAGIC:
         raise FormatError("bad magic, not an STPZ container", 0)
@@ -170,15 +172,11 @@ def deserialize(data: bytes) -> TensorStpSvd:
         raise FormatError(f"unknown flag bits 0x{flags:02x}", 5)
     if reserved != 0:
         raise FormatError("reserved header bytes are nonzero", 6)
-    m1, m2, n1, n2, l = struct.unpack("<5I", rd.take(20, "dimensions"))
-    if min(m1, m2, n1, n2, l) < 1:
-        raise FormatError(f"non-positive dimension in {(m1, m2, n1, n2, l)}", 8)
-    ranks_at = rd.pos
+    dims = struct.unpack("<5I", rd.take(20, "dimensions"))
+    _check_header(8, _check_dims, dims)
+    m1, m2, n1, n2, l = dims
     R = struct.unpack(f"<{l}I", rd.take(4 * l, "rank vector"))
-    if any(r > min(m1, n1) for r in R):
-        raise FormatError(
-            f"rank vector {list(R)} exceeds min(m1, n1) = {min(m1, n1)}", ranks_at
-        )
+    _check_header(28, _check_block_rank, R, l, min(m1, n1))
     slices = []
     for i, r in enumerate(R):
         U = rd.matrix(m1, r, f"slice {i} left factor")
@@ -190,8 +188,4 @@ def deserialize(data: bytes) -> TensorStpSvd:
         raise FormatError(
             f"{len(rd.data) - rd.pos} trailing bytes after factor payload", rd.pos
         )
-    return TensorStpSvd(
-        slices=slices,
-        dims=(m1, m2, n1, n2, l),
-        real_input=bool(flags & FLAG_REAL_INPUT),
-    )
+    return TensorStpSvd(slices, dims, real_input=bool(flags & FLAG_REAL_INPUT))

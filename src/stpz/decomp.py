@@ -115,6 +115,11 @@ class TSvdFactors:
     V: np.ndarray
 
 
+def _check_dims(dims: Sequence[int]) -> None:
+    if min(dims) < 1:
+        raise DimensionError(f"non-positive dimension in {tuple(dims)}")
+
+
 def _check_block_rank(R: Sequence[int], l: int, rmax: int) -> list[int]:
     R = [int(r) for r in R]
     if len(R) != l:
@@ -327,9 +332,11 @@ def t_svd_trunc(A, R: Sequence[int]) -> TSvdFactors:
 
 
 def _check_slices(F: TensorStpSvd) -> None:
+    """The one test of a valid factorization, as a container holds it: positive
+    dims, l slice ranks in [1, min(m1, n1)], and factor shapes that fit."""
+    _check_dims(F.dims)
     m1, m2, n1, n2, l = F.dims
-    if len(F.slices) != l:
-        raise DimensionError(f"expected {l} slices, found {len(F.slices)}")
+    _check_block_rank(F.block_rank, l, min(m1, n1))
     for i, s in enumerate(F.slices):
         if s.dims != (m1, m2, n1, n2):
             raise DimensionError(

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import struct
+
 import numpy as np
 
 
@@ -83,3 +85,11 @@ def textured_samples(rng, m, n, l, equal_channels=False):
     if equal_channels:
         planes = [planes[0]] * l
     return np.clip(np.rint(np.stack(planes, axis=2)), 0, 255).astype(np.uint8)
+
+
+def rank_zero_container() -> bytes:
+    """An 88-byte STPZ container claiming a 2000 x 2000 RGB image whose
+    three slices have rank 0 and a 1 x 1 C: a 12 MB image from no U, sigma
+    or V at all."""
+    header = struct.pack("<4sBBH5I3I", b"STPZ", 1, 1, 0, 2000, 1, 2000, 1, 3, 0, 0, 0)
+    return header + np.array([128.0, 0.0] * 3, dtype="<f8").tobytes()

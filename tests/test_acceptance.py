@@ -345,7 +345,7 @@ def test_c11_container_roundtrip_and_rejection():
         m1, m2, n1, n2 = (int(v) for v in rng.integers(1, 5, size=4))
         l = int(rng.integers(1, 4))
         slices = []
-        R = [int(rng.integers(0, min(m1, n1) + 1)) for _ in range(l)]
+        R = [int(rng.integers(1, min(m1, n1) + 1)) for _ in range(l)]
         for r in R:
             slices.append(
                 MatStpSvd(
@@ -375,6 +375,9 @@ def test_c11_container_roundtrip_and_rejection():
     bad_rank = bytearray(base)
     bad_rank[28:32] = (2**20).to_bytes(4, "little")
     corrupt.append(bytes(bad_rank))
+    zero_rank = bytearray(base)
+    zero_rank[28:32] = (0).to_bytes(4, "little")
+    corrupt.append(bytes(zero_rank))
     rejected = 0
     for blob in corrupt:
         try:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import textured_samples
+from helpers import rank_zero_container, textured_samples
 from stpz import cli
 from stpz.cli import _threads, main, run_method
 from stpz.codec import Method, deserialize, serialize, storage_count
@@ -183,6 +183,19 @@ class TestExitCodes:
         bad.write_bytes(b"NOPE" + bytes(64))
         assert main(["decompress", "--input", str(bad), "--output", str(tmp_path / "o.ppm")]) == 4
         assert main(["info", "--input", str(bad)]) == 4
+
+    def test_rank_zero_container_exit_4(self, tmp_path, capsys):
+        # 88 bytes that claim a 2000 x 2000 RGB image: rejected at the rank
+        # vector, before anything of that size is allocated.
+        packed, out = tmp_path / "bomb.stpz", tmp_path / "bomb.ppm"
+        packed.write_bytes(rank_zero_container())
+        for argv in (["info"], ["decompress", "--output", str(out)]):
+            assert main([*argv, "--input", str(packed)]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and "offset 28" in errors[0]
+        assert not out.exists()
 
     def test_non_finite_container_exit_4(self, tmp_path, ppm_path, capsys):
         packed = tmp_path / "o.stpz"

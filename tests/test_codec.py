@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import cplx
+from helpers import cplx, rank_zero_container
 from stpz.codec import (
     Method,
     compression_rate,
@@ -61,11 +62,12 @@ class TestStorageFormulas:
         assert storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, R) == expected
         uniform = storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, 2)
         assert uniform == storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, [2, 2, 2])
-        # A container may hold slices of rank 0; they keep only C.
-        assert storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, 0) == 3 * m2 * n2
+        # Every rank lies in [1, min(m1, n1)], as the encoder keeps it.
+        with pytest.raises(DimensionError, match="entry 0 out of range"):
+            storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, 0)
 
     def test_missing_rank_rejected(self):
-        # Ranks lie in [0, min(m1, n1)] = [0, 2], or [0, min(m, n)] = [0, 4]
+        # Ranks lie in [1, min(m1, n1)] = [1, 2], or [1, min(m, n)] = [1, 4]
         # for the T-SVD.
         for method, l, r in [
             (Method.TRUNC_TSVD, 3, None),
@@ -101,7 +103,7 @@ class TestContainer:
         for trial in range(10):
             m1, m2, n1, n2 = rng.integers(1, 5, size=4)
             l = int(rng.integers(1, 4))
-            R = [int(rng.integers(0, min(m1, n1) + 1)) for _ in range(l)]
+            R = [int(rng.integers(1, min(m1, n1) + 1)) for _ in range(l)]
             F = random_factors(rng, m1, m2, n1, n2, R, real_input=bool(trial % 2))
             G = deserialize(serialize(F))
             assert G.dims == F.dims
@@ -122,7 +124,12 @@ class TestContainer:
     def test_byte_budget_matches_layout(self):
         rng = np.random.default_rng(2)
         m1, m2, n1, n2 = 3, 2, 4, 2
-        R = [2, 0, 1]
+        # A slice with no blocks is no valid factorization.
+        with pytest.raises(DimensionError, match="entry 0 out of range"):
+            serialize(random_factors(rng, m1, m2, n1, n2, [2, 0, 1]))
+        with pytest.raises(DimensionError, match="entry 0 out of range"):
+            storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, [2, 0, 1])
+        R = [2, 1, 1]
         F = random_factors(rng, m1, m2, n1, n2, R)
         blob = serialize(F)
         payload = sum(16 * (m1 * r + m2 * n2 + n1 * r) + 8 * r for r in R)
@@ -180,6 +187,35 @@ class TestContainer:
         with pytest.raises(FormatError) as exc:
             deserialize(bytes(blob))
         assert exc.value.offset == 28
+
+    def test_rank_zero_rejected_before_the_payload(self):
+        blob = rank_zero_container()
+        assert len(blob) == 88
+        with pytest.raises(FormatError, match="entry 0 out of range") as exc:
+            deserialize(blob)
+        assert exc.value.offset == 28
+
+    @given(
+        dims=st.tuples(*[st.integers(0, 3)] * 5),
+        ranks=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        real_input=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_serialize_accepts_what_deserialize_accepts(self, dims, ranks, real_input, seed):
+        # Degenerate factorizations included: l = 0, a zero dim, rank 0 and
+        # ranks above min(m1, n1).
+        m1, m2, n1, n2, l = dims
+        R = ranks[:l]
+        F = random_factors(np.random.default_rng(seed), m1, m2, n1, n2, R, real_input)
+        valid = min(dims) >= 1 and all(1 <= r <= min(m1, n1) for r in R)
+        try:
+            blob = serialize(F)
+        except DimensionError:
+            assert not valid
+            return
+        assert valid
+        assert serialize(deserialize(blob)) == blob
 
     def test_zero_dimension(self):
         rng = np.random.default_rng(9)

@@ -749,12 +749,12 @@ def random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate):
 def tie_factors(m1, m2, n1, n2, l, halves):
     """Factors whose reconstruction is exactly ``halves / l``, replicated over
     the blocks and the channels: slice 0 is ones(m1, n1) ⊗ C, every other
-    slice has rank 0 and C = 0."""
+    slice has rank 1 with sigma = 0 and C = 0, so it adds exact zeros."""
     dims = (m1, m2, n1, n2)
     C = np.reshape(halves, (m2, n2)).astype(np.complex128)
     slices = [MatStpSvd(np.ones((m1, 1)), np.ones(1), C, np.ones((n1, 1)), dims)]
     return slices + [
-        MatStpSvd(np.zeros((m1, 0)), np.zeros(0), np.zeros((m2, n2)), np.zeros((n1, 0)), dims)
+        MatStpSvd(np.ones((m1, 1)), np.zeros(1), np.zeros((m2, n2)), np.ones((n1, 1)), dims)
         for _ in range(1, l)
     ]
 
@@ -792,7 +792,7 @@ class TestDecodeSamples:
         m2=st.integers(1, 4),
         n1=st.integers(1, 4),
         n2=st.integers(1, 4),
-        ranks=st.lists(st.integers(0, 4), min_size=3, max_size=3),
+        ranks=st.lists(st.integers(1, 4), min_size=3, max_size=3),
         scale=st.sampled_from([0.5, 30.0, 400.0]),
         conjugate=st.booleans(),
         real_input=st.booleans(),
@@ -809,7 +809,7 @@ class TestDecodeSamples:
         _, residue, want = assert_decodes_like_the_reference(F)
         if conjugate:
             assert not want.imag_warning and residue < 1e-9
-        elif l == 3 and sum(R) > 0 and residue > 1e-3:
+        elif l == 3 and residue > 1e-3:
             # Non-conjugate slices leave an imaginary part: both paths warn.
             assert want.imag_warning
 

@@ -118,6 +118,20 @@ def test_info_exits_0_or_4(workdir, data):
     assert len(errors) == (code != 0)
 
 
+@given(data=st.data())
+@settings(deadline=None, max_examples=200)
+def test_decompress_exits_0_or_4(workdir, data):
+    # With every rank at least 1, the payload bounds the decoded size, so a
+    # few mutations cannot make a large image.
+    path, out = workdir / "decompress.stpz", workdir / "decompress.ppm"
+    path.write_bytes(mutate(data, STPZ, STPZ_HEADER, 4))
+    out.unlink(missing_ok=True)
+    code, errors = run_cli("decompress", "--input", path, "--output", out)
+    assert code in (0, 4)
+    assert len(errors) == (code != 0)
+    assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize("name", ["ppm", "pgm"])
 @given(data=st.data())
 @settings(deadline=None, max_examples=200)
