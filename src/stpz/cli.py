@@ -151,11 +151,11 @@ def cmd_decompress(args) -> int:
         # 24 is the byte offset of the container's l field.
         raise FormatError(f"container has {l} slices; an image needs 1 or 3", 24)
     samples, residue = decode_samples(F)
-    img = ImageBuffer(samples, imag_warning=residue > IMAG_TOL)
-    if img.imag_warning:
+    warn = residue > IMAG_TOL
+    if warn:
         print("warning: reconstruction had non-negligible imaginary part", file=sys.stderr)
-    _write_bytes(args.output, save_ppm(img))
-    _emit({"imag_residue": residue, "imag_warning": img.imag_warning})
+    _write_bytes(args.output, save_ppm(ImageBuffer(samples)))
+    _emit({"imag_residue": residue, "imag_warning": warn})
     return 0
 
 

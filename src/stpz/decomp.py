@@ -144,10 +144,12 @@ def _is_real(A: np.ndarray) -> bool:
 
 
 def _as_input(A) -> tuple[np.ndarray, bool]:
-    # A as a third-order array, and whether it is real.  A real dtype is
-    # kept, and known to be real without a scan.
+    # A as a third-order array, and whether it is real.  A real dtype is kept
+    # unscanned; a complex A with no imaginary part continues as A.real.
     A = as_array3(A)
-    return A, A.dtype.kind != "c" or _is_real(A)
+    if A.dtype.kind == "c" and _is_real(A):
+        A = A.real
+    return A, A.dtype.kind != "c"
 
 
 # Twiddle factor sin(2 pi / 3) of the length-3 butterfly, as pocketfft has it.

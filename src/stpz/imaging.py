@@ -6,6 +6,8 @@ at 255.  PSNR uses the 8-bit peak; PSNR and relative error sum squared
 samples exactly, in integers.  SSIM uses the standard 11x11 Gaussian window
 (sigma 1.5, unit sum), stabilizers C1 = (0.01*255)^2 and C2 = (0.03*255)^2,
 valid-region cropping at the borders, and an unweighted mean over channels.
+A tensor becomes an image by rounding its real part; the imaginary part is
+not examined here (``stpz decompress`` judges it from the decoder's residue).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ _WINDOW = 11
 _SIGMA = 1.5
 _C1 = (0.01 * 255.0) ** 2
 _C2 = (0.03 * 255.0) ** 2
-# A discarded imaginary part larger than this in modulus sets imag_warning.
+# A decode whose imaginary part exceeds this in modulus is not a real image;
+# ``stpz decompress`` then sets imag_warning.
 IMAG_TOL = 1e-6
 # SSIM output tile: rows per row-filter GEMM, columns per column-filter GEMM.
 _ROW_TILE = 32
@@ -44,14 +47,9 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 @dataclass(eq=False)
 class ImageBuffer:
-    """8-bit raster image; ``samples`` is uint8 (height, width, channels).
-
-    ``imag_warning`` is set by :func:`tensor_to_image` when the discarded
-    imaginary part exceeded the documented threshold.
-    """
+    """8-bit raster image; ``samples`` is uint8 (height, width, channels)."""
 
     samples: np.ndarray
-    imag_warning: bool = False
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.uint8)
@@ -151,17 +149,15 @@ def tensor_to_image(A) -> ImageBuffer:
     """Inverse of :func:`image_to_tensor` for tensors with 1 or 3 slices.
 
     A float64 copy of the real part goes through :func:`_round_samples`, the
-    rounding that :func:`stpz.decomp.decode_samples` also uses; imaginary
-    parts above 1e-6 in modulus set ``imag_warning``.  A real tensor is
-    taken as it is, with no complex copy, and ``A`` is never modified.
-    Infinities clamp to 0 and 255; a NaN sample raises NumericError.
+    rounding that :func:`stpz.decomp.decode_samples` also uses; the
+    imaginary part is dropped unread.  A real tensor is taken as it is, with
+    no complex copy, and ``A`` is never modified.  Infinities clamp to 0 and
+    255; a NaN sample raises NumericError.
     """
-    A = as_array3(A)
-    warn = A.dtype.kind == "c" and bool(np.max(np.abs(A.imag)) > IMAG_TOL)
-    x = np.array(A.real, dtype=np.float64)
+    x = np.array(as_array3(A).real, dtype=np.float64)
     if np.isnan(x).any():
         raise NumericError("cannot convert a NaN sample to 8 bits")
-    return ImageBuffer(_round_samples(x), imag_warning=warn)
+    return ImageBuffer(_round_samples(x))
 
 
 def _check_same_shape(ref: ImageBuffer, test: ImageBuffer) -> None:

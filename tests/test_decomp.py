@@ -609,6 +609,27 @@ class TestFourierFrontEnd:
         assert tensor_stp_svd(A, 2, 2).real_input
         t_svd_trunc(A, [2, 2, 2])
 
+    @pytest.mark.parametrize("imag", [0.0, -0.0, 1e-300])
+    def test_complex_input_with_no_imaginary_part_takes_the_real_route(self, monkeypatch, imag):
+        # A complex A whose imaginary parts are all +-0.0 is transformed as
+        # its float64 real part (the butterfly); any nonzero one keeps it
+        # complex128.
+        seen = []
+        stack_dft = decomp_module._stack_dft
+
+        def spy(S):
+            seen.append(S.dtype)
+            return stack_dft(S)
+
+        monkeypatch.setattr(decomp_module, "_stack_dft", spy)
+        rng = np.random.default_rng(63)
+        A = rng.integers(0, 256, size=(8, 6, 3)) + 1j * np.full((8, 6, 3), imag)
+        real = imag == 0.0
+        assert tensor_stp_svd_trunc(A, 2, 2, [2, 2, 2]).real_input == real
+        t_svd_trunc(A, [2, 2, 2])
+        want = np.float64 if real else np.complex128
+        assert seen == [want, want]
+
     def test_object_arrays_of_complex_numbers_still_work(self):
         # An object dtype goes through complex128 and the scan for imaginary
         # parts, so object arrays of real-valued complex numbers count as real.
@@ -764,8 +785,9 @@ def assert_decodes_like_the_reference(F):
     tolerance tol = 1e-12 (1 + max |reconstruct(F)|): the float plane within
     tol, equal samples except for a reference value within tol of a k + 0.5
     tie (which may differ by one), the residue within tol of the
-    reference's, and the same imag_warning unless that lies within tol of
-    the 1e-6 threshold."""
+    reference's, and the same verdict against the 1e-6 threshold as the
+    reference's imaginary part, unless that lies within tol of it.  Returns
+    the samples, the residue, the reference image and its verdict."""
     A = reconstruct(F)
     want = tensor_to_image(A)
     got, residue = decode_samples(F)
@@ -779,10 +801,11 @@ def assert_decodes_like_the_reference(F):
     near_tie = np.abs(A.real - np.floor(A.real) - 0.5) <= tol
     assert np.all((diff == 0) | ((np.abs(diff) == 1) & near_tie))
     imag = np.abs(A.imag).max()
+    warn = imag > IMAG_TOL
     assert abs(residue - imag) <= tol
     if abs(imag - IMAG_TOL) > tol:
-        assert (residue > IMAG_TOL) == want.imag_warning
-    return got, residue, want
+        assert (residue > IMAG_TOL) == warn
+    return got, residue, want, warn
 
 
 class TestDecodeSamples:
@@ -806,12 +829,12 @@ class TestDecodeSamples:
             R = [R[min(j, l - j)] for j in range(l)]
         F = TensorStpSvd(random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate),
                          (m1, m2, n1, n2, l), real_input)
-        _, residue, want = assert_decodes_like_the_reference(F)
+        _, residue, _, warn = assert_decodes_like_the_reference(F)
         if conjugate:
-            assert not want.imag_warning and residue < 1e-9
+            assert not warn and residue < 1e-9
         elif l == 3 and residue > 1e-3:
             # Non-conjugate slices leave an imaginary part: both paths warn.
-            assert want.imag_warning
+            assert warn
 
     @pytest.mark.parametrize("l", [1, 3])
     @pytest.mark.parametrize("shape", [(1, 2, 1, 3), (2, 4, 3, 2)])
@@ -823,7 +846,7 @@ class TestDecodeSamples:
         F = TensorStpSvd(tie_factors(m1, m2, n1, n2, l, halves), (m1, m2, n1, n2, l), True)
         A = reconstruct(F)
         assert np.any((A.real % 1 == 0.5) & (A.real > 0) & (A.real < 255))
-        got, residue, want = assert_decodes_like_the_reference(F)
+        got, residue, want, _ = assert_decodes_like_the_reference(F)
         assert same_bytes(got, want.samples) and residue == 0.0
 
     @pytest.mark.parametrize("l", [1, 3])
@@ -834,8 +857,8 @@ class TestDecodeSamples:
         # Conjugate slices 1 and 2 at equal ranks keep the factors conjugate.
         for R in ([m2] * l, [64 // m2] * l, [1, 3, 3][:l]):
             F = tensor_stp_svd_trunc(A, m2, m2, [min(r, 48 // m2) for r in R])
-            got, residue, want = assert_decodes_like_the_reference(F)
-            assert residue < 1e-9 and not want.imag_warning
+            got, residue, want, warn = assert_decodes_like_the_reference(F)
+            assert residue < 1e-9 and not warn
 
     def test_rejects_what_is_not_an_image(self):
         rng = np.random.default_rng(72)

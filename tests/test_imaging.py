@@ -135,7 +135,6 @@ class TestTensorConversion:
         img = rand_image(rng, 4, 6, 3)
         back = tensor_to_image(image_to_tensor(img))
         assert np.array_equal(back.samples, img.samples)
-        assert not back.imag_warning
 
     def test_layout(self):
         rng = np.random.default_rng(2)
@@ -163,11 +162,16 @@ class TestTensorConversion:
         with pytest.raises(NumericError, match="NaN"):
             tensor_to_image(np.array([[[np.nan, 1e309, 3.0]]]))
 
-    def test_imag_warning(self):
-        A = np.full((1, 1, 1), 10 + 1e-3j)
-        assert tensor_to_image(A).imag_warning
-        B = np.full((1, 1, 1), 10 + 1e-9j)
-        assert not tensor_to_image(B).imag_warning
+    def test_imaginary_part_is_dropped(self):
+        # No verdict on the imaginary part: small or large, it leaves the
+        # samples of the real part, and A is not modified.
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-20.0, 275.0, size=(5, 6, 3))
+        A = x + 1j * rng.choice(np.array([1e-3, -1e-3, 1e3, -1e3]), size=x.shape)
+        before = A.copy()
+        got = tensor_to_image(A)
+        assert same_bytes(got.samples, tensor_to_image(A.real).samples)
+        assert same_bytes(A, before)
 
     def test_unsupported_channels(self):
         with pytest.raises(DimensionError):
@@ -175,15 +179,14 @@ class TestTensorConversion:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
     def test_real_tensor_gives_the_samples_of_its_complex_copy(self, dtype):
-        # Real input skips the complex cast and the imaginary-part check; the
-        # rounding stays in float64 whatever the input's precision.
+        # Real input skips the complex cast; the rounding stays in float64
+        # whatever the input's precision.
         rng = np.random.default_rng(3)
         A = rng.uniform(-20.0, 275.0, size=(7, 9, 3))
         A[0, :4, 0] = [0.49999997, 254.5, 127.5, -0.0]
         A = A.astype(dtype)
         got, want = tensor_to_image(A), tensor_to_image(A.astype(np.complex128))
         assert same_bytes(got.samples, want.samples)
-        assert not got.imag_warning and not want.imag_warning
         with pytest.raises(DimensionError):
             tensor_to_image(A[:, :, 0])
 
