@@ -22,17 +22,17 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from .codec import Method, deserialize, serialize, storage_count
-from .decomp import decode_samples, reconstruct, t_svd_trunc, tensor_stp_svd_trunc
+from .decomp import IMAG_TOL, decode_samples, reconstruct, t_svd_trunc, tensor_stp_svd_trunc
 from .errors import DimensionError, FormatError, NumericError
 from .nkp import _split
 # image_to_tensor is no longer called here: the decompositions take the
 # uint8 samples.  perfbench's tracer still wraps it as cli.image_to_tensor.
 from .imaging import (  # noqa: F401
-    IMAG_TOL,
     ImageBuffer,
     image_to_tensor,
     load_ppm,
@@ -62,18 +62,7 @@ class BenchReport:
     cr: Fraction
 
     def to_json(self) -> dict:
-        return {
-            "method": self.method,
-            "m2": self.m2,
-            "n2": self.n2,
-            "R": self.R,
-            "wall_time_seconds": self.wall_time_seconds,
-            "related_error": self.related_error,
-            "psnr_db": _psnr_field(self.psnr_db),
-            "ssim": self.ssim,
-            "storage_count": self.storage_count,
-            "cr": _cr_str(self.cr),
-        }
+        return {**asdict(self), "psnr_db": _psnr_field(self.psnr_db), "cr": _cr_str(self.cr)}
 
 
 def _threads(slices: int) -> int:
@@ -102,16 +91,6 @@ def _parse_rank(spec: str, slices: int, rmax: int) -> list[int]:
     return values * slices if len(values) == 1 else values
 
 
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_bytes(path: str, blob: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(blob)
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
@@ -125,14 +104,14 @@ def _cr_str(cr: Fraction) -> str:
 
 
 def cmd_compress(args) -> int:
-    img = load_ppm(_read_bytes(args.input))
+    img = load_ppm(Path(args.input).read_bytes())
     h, w, c = img.samples.shape
     m1, n1 = _split(h, w, args.m2, args.n2)
     R = _parse_rank(args.rank, c, min(m1, n1))
     t0 = time.perf_counter()
     F = tensor_stp_svd_trunc(img.samples, args.m2, args.n2, R, threads=_threads(c))
     elapsed = time.perf_counter() - t0
-    _write_bytes(args.output, serialize(F))
+    Path(args.output).write_bytes(serialize(F))
     count = storage_count(Method.TRUNC_STPSVD, *F.dims, R)
     _emit(
         {
@@ -145,7 +124,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    F = deserialize(_read_bytes(args.input))
+    F = deserialize(Path(args.input).read_bytes())
     l = F.dims[4]
     if l not in (1, 3):
         # 24 is the byte offset of the container's l field.
@@ -154,14 +133,14 @@ def cmd_decompress(args) -> int:
     warn = residue > IMAG_TOL
     if warn:
         print("warning: reconstruction had non-negligible imaginary part", file=sys.stderr)
-    _write_bytes(args.output, save_ppm(ImageBuffer(samples)))
+    Path(args.output).write_bytes(save_ppm(ImageBuffer(samples)))
     _emit({"imag_residue": residue, "imag_warning": warn})
     return 0
 
 
 def cmd_metrics(args) -> int:
-    ref = load_ppm(_read_bytes(args.ref))
-    test = load_ppm(_read_bytes(args.test))
+    ref = load_ppm(Path(args.ref).read_bytes())
+    test = load_ppm(Path(args.test).read_bytes())
     _emit(
         {
             "psnr": _psnr_field(psnr(ref, test)),
@@ -211,7 +190,7 @@ def run_method(
 
 
 def cmd_bench(args) -> int:
-    img = load_ppm(_read_bytes(args.input))
+    img = load_ppm(Path(args.input).read_bytes())
     h, w, c = img.samples.shape
     m1, n1 = _split(h, w, args.m2, args.n2)
     rmax = min(m1, n1) if args.method == "stpsvd" else min(h, w)
@@ -221,7 +200,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_info(args) -> int:
-    F = deserialize(_read_bytes(args.input))
+    F = deserialize(Path(args.input).read_bytes())
     m1, m2, n1, n2, l = F.dims
     R = F.block_rank
     count = storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, l, R)

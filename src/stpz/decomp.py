@@ -11,12 +11,13 @@ matrix treatment.  The rearrangement permutes entries within a slice and the
 DFT mixes entries across slices, so the two commute: the input is
 rearranged once, in its own dtype (one byte per sample for an image), the
 DFT is taken along the stack of rearranged slices, and each Fourier slice is
-factored in place.  Factors are kept in this compact Fourier-domain per-slice
-form (not expanded to spatial tensors); :func:`reconstruct` applies the
-single inverse DFT at the end, and :func:`decode_samples` takes an image's
-8-bit samples straight from the factors.  With the unnormalized DFT,
-Parseval gives ||A||_F^2 = (1/l) * sum_i ||Ahat_i||_F^2, so error aggregates
-across slices carry an explicit 1/sqrt(l).
+factored where it lies in that stack, read with no copy and no write.
+Factors are kept in this compact Fourier-domain per-slice form (not expanded
+to spatial tensors); :func:`reconstruct` applies the single inverse DFT at
+the end, and :func:`decode_samples` takes an image's 8-bit samples
+straight from the factors.  With the unnormalized DFT, Parseval gives
+||A||_F^2 = (1/l) * sum_i ||Ahat_i||_F^2, so error aggregates across slices
+carry an explicit 1/sqrt(l).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .tensor import as_array3, as_tensor3, conj_transpose, dft3, idft3
 from .products import t_product
 
 __all__ = [
+    "IMAG_TOL",
     "MatStpSvd",
     "TensorStpSvd",
     "TSvdFactors",
@@ -99,11 +101,6 @@ class TensorStpSvd:
     @property
     def block_rank(self) -> list[int]:
         return [s.rank for s in self.slices]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        m1, m2, n1, n2, l = self.dims
-        return (m1 * m2, n1 * n2, l)
 
 
 @dataclass
@@ -219,8 +216,7 @@ def mat_stp_svd_trunc(
 
     With ``blocks=(m1, n1)``, A is the matrix's rearrangement, and blocks
     must be the matrix's exact (m1, n1) pair, which the rearrangement's
-    shape cannot check; a complex128 A is overwritten (see
-    :func:`~stpz.nkp.nkp`).
+    shape cannot check (see :func:`~stpz.nkp.nkp`).
     """
     m1, n1 = _matrix_blocks(A, m2, n2, blocks, "mat_stp_svd_trunc")
     _check_block_rank([r], 1, min(m1, n1))
@@ -411,6 +407,11 @@ def _decode_planes(F: TensorStpSvd) -> tuple[np.ndarray, float]:
         plane = left.T @ right[0].reshape(2 * l, -1)
         imag = left.T @ right[1].reshape(2 * l, -1)
         return plane, float(max(imag.max(), -imag.min()))
+
+
+# A decode whose imaginary residue exceeds this in modulus is not a real
+# image; ``stpz decompress`` then sets imag_warning.
+IMAG_TOL = 1e-6
 
 
 def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:

@@ -21,7 +21,6 @@ from .errors import DimensionError, FormatError, NumericError
 from .tensor import as_array3
 
 __all__ = [
-    "IMAG_TOL",
     "ImageBuffer",
     "load_ppm",
     "save_ppm",
@@ -36,9 +35,6 @@ _WINDOW = 11
 _SIGMA = 1.5
 _C1 = (0.01 * 255.0) ** 2
 _C2 = (0.03 * 255.0) ** 2
-# A decode whose imaginary part exceeds this in modulus is not a real image;
-# ``stpz decompress`` then sets imag_warning.
-IMAG_TOL = 1e-6
 # SSIM output tile: rows per row-filter GEMM, columns per column-filter GEMM.
 _ROW_TILE = 32
 _COL_TILE = 64

@@ -110,12 +110,12 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     it.  The rearrangement's shape fixes only the products m1*n1 and m2*n2,
     so blocks must be the exact (m1, n1) pair of the matrix: a swapped pair,
     or any other pair with the same product, is not detected and gives a B
-    of that shape.  A complex128 A is used in place and overwritten.
+    of that shape.  A is only read, in either form.
     """
     if blocks is None:
         A = np.asarray(A, dtype=np.complex128)
-        m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
         R = rearrange(A, m2, n2)
+        m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
     else:
         m1, n1 = blocks
         R = np.asarray(A, dtype=np.complex128)
@@ -133,9 +133,10 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     # the conjugated right vector (a no-op for real data).
     C = (s1 * np.conj(f.V[:, 0])).reshape((m2, n2), order="F")
     # rearrange only permutes entries, so ||A - B ⊗ C||_F is the norm of
-    # R - vec(B) vec(C)^T, taken in R (this call's copy, or the caller's
-    # rearrangement given with blocks).  Taking the norm of the difference
-    # keeps the residual accurate near exact Kronecker structure, where
-    # sqrt(||A||^2 - s1^2) would cancel.
-    R -= np.outer(B.ravel(order="F"), C.ravel(order="F"))
-    return KronFactors(B=B, C=C, residual=float(np.linalg.norm(R)))
+    # R - vec(B) vec(C)^T, taken in the outer product's own buffer so that R
+    # is left alone.  Taking the norm of the difference keeps the residual
+    # accurate near exact Kronecker structure, where sqrt(||A||^2 - s1^2)
+    # would cancel.
+    E = np.outer(B.ravel(order="F"), C.ravel(order="F"))
+    np.subtract(R, E, out=E)
+    return KronFactors(B=B, C=C, residual=float(np.linalg.norm(E)))

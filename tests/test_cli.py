@@ -331,6 +331,24 @@ class TestBenchInfo:
             Method.TRUNC_TSVD, 6, 4, 6, 4, 3, 2
         )
 
+    @pytest.mark.parametrize("method", ["stpsvd", "tsvd"])
+    def test_lossless_bench_report(self, tmp_path, capsys, method):
+        src = tmp_path / "in.ppm"
+        samples = np.random.default_rng(41).integers(0, 256, (16, 12, 3), dtype=np.uint8)
+        src.write_bytes(save_ppm(ImageBuffer(samples)))
+        code, rep = run(
+            capsys, "bench", "--input", src, "--method", method,
+            "--m2", 1, "--n2", 1, "--rank", "full",
+        )
+        assert code == 0
+        assert list(rep) == [
+            "method", "m2", "n2", "R", "wall_time_seconds", "related_error",
+            "psnr_db", "ssim", "storage_count", "cr",
+        ]
+        assert rep["method"] == method and rep["R"] == [12, 12, 12]
+        assert rep["psnr_db"] == "inf" and rep["related_error"] == 0.0
+        assert isinstance(rep["cr"], str) and float(rep["cr"]) > 0.0
+
     @pytest.mark.parametrize("channels", [3, 1])
     def test_bench_scores_the_image_decompress_writes(
         self, tmp_path, capsys, monkeypatch, channels

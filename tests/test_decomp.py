@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from helpers import cplx, rel_err, same_bytes, textured_samples
 from stpz.codec import deserialize, serialize
 from stpz.decomp import (
+    IMAG_TOL,
     MatStpSvd,
     TensorStpSvd,
     decode_samples,
@@ -23,7 +24,7 @@ from stpz.decomp import (
     tensor_stp_svd_trunc,
 )
 from stpz.errors import DimensionError
-from stpz.imaging import IMAG_TOL, tensor_to_image
+from stpz.imaging import tensor_to_image
 from stpz.nkp import nkp, rearrange, rearrange_slices
 from stpz.svd import SvdResult, svd
 from stpz.tensor import (

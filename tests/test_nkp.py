@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import cplx, rel_err, same_bytes, with_spectrum
+from stpz.decomp import mat_stp_svd_trunc
 from stpz.errors import DimensionError
 from stpz.nkp import nkp, rearrange, rearrange_slices
 from stpz.svd import svd
@@ -177,6 +178,11 @@ class TestNkp:
             Bc, Cc = cplx(rng, 2, 2), cplx(rng, 3, 2)
             assert f.residual <= np.linalg.norm(A - np.kron(Bc, Cc)) + 1e-12
 
+    @pytest.mark.parametrize("A", [np.ones(4), 5.0])
+    def test_non_matrix_is_a_dimension_error(self, A):
+        with pytest.raises(DimensionError, match="expects a matrix"):
+            nkp(A, 2, 2)
+
     def test_divisibility_error(self):
         with pytest.raises(DimensionError):
             nkp(np.zeros((4, 4)), 3, 2)
@@ -268,14 +274,18 @@ class TestNkp:
 
 
 class TestRearrangedInput:
-    def test_blocks_give_the_same_factors_and_may_overwrite(self):
+    def test_blocks_give_the_same_factors_and_leave_the_input_alone(self):
         rng = np.random.default_rng(30)
         A = cplx(rng, 24, 40)
         want = nkp(A, 4, 5)
         R = rearrange(A, 4, 5)
+        R0 = R.copy()
         got = nkp(R, 4, 5, blocks=(6, 8))
+        assert same_bytes(R, R0)
         assert same_bytes(got.B, want.B) and same_bytes(got.C, want.C)
         assert got.residual == pytest.approx(want.residual, rel=1e-12)
+        mat_stp_svd_trunc(R, 4, 5, 3, blocks=(6, 8))
+        assert same_bytes(R, R0)
 
     def test_blocks_must_match_the_rearrangement(self):
         R = np.zeros((12, 6), dtype=np.complex128)
