@@ -482,17 +482,22 @@ class TestErrorBounds:
 @st.composite
 def stp_cases(draw):
     """(A, m2, n2, R): a tensor of dims 1..5 with l in 1..5 slices, as uint8,
-    float64 or complex128, and a random block rank per slice."""
+    float64 or complex128, or near exact Kronecker structure (noise of
+    10^-k on Kronecker slices, k in 2..10, so the NKP tail ratio falls on
+    either side of nkp._TAIL_MIN), and a random block rank per slice."""
     m1, m2, n1, n2, l = (draw(st.integers(1, 5)) for _ in range(5))
-    dtype = draw(st.sampled_from(["uint8", "float64", "complex128"]))
+    dtype = draw(st.sampled_from(["uint8", "float64", "complex128", "near-kron"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (m1 * m2, n1 * n2, l)
     if dtype == "uint8":
         A = rng.integers(0, 256, size=shape, dtype=np.uint8)
     elif dtype == "float64":
         A = rng.normal(size=shape)
-    else:
+    elif dtype == "complex128":
         A = cplx(rng, *shape)
+    else:
+        noise = 10.0 ** -draw(st.integers(2, 10))
+        A = kron_structured_tensor(rng, m1, m2, n1, n2, l) + noise * cplx(rng, *shape)
     R = [int(r) for r in rng.integers(1, min(m1, n1) + 1, size=l)]
     return A, m2, n2, R
 

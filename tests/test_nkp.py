@@ -1,8 +1,10 @@
 import importlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from helpers import cplx, rel_err, same_bytes, with_spectrum
 from stpz.decomp import mat_stp_svd_trunc
@@ -193,20 +195,38 @@ class TestNkp:
         n1=st.integers(1, 8),
         n2=st.integers(1, 8),
         spike=st.sampled_from([0.0, 1.0, 4.0]),
+        noise=st.sampled_from([1.0, 1e-2, 1e-3]),
+        path=st.sampled_from(["dense", "lanczos", "gram"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(deadline=None, max_examples=40)
-    def test_matches_dense_path(self, m1, m2, n1, n2, spike, seed):
+    @settings(deadline=None, max_examples=80)
+    def test_matches_dense_path(self, m1, m2, n1, n2, spike, noise, path, seed):
+        # Each path is forced: "lanczos" sends every size to the Lanczos
+        # solver (which may still fall back), "gram" sends every size to the
+        # fallback.  With a spike, the noise levels put the tail ratio
+        # (||R||^2 - s1^2) / ||R||^2 on both sides of _TAIL_MIN: about 5e-5
+        # at spike 1 and noise 1e-2, and below 1e-5 at noise 1e-3.
         rng = np.random.default_rng(seed)
-        A = cplx(rng, m1 * m2, n1 * n2)
+        A = noise * cplx(rng, m1 * m2, n1 * n2)
         A = A + spike * np.kron(cplx(rng, m1, n1), cplx(rng, m2, n2))
-        f = nkp(A, m2, n2)
         ref, tail = dense_kron(A, m2, n2)
         s = np.linalg.svd(rearrange(A, m2, n2), compute_uv=False)
+        norm2 = np.sum(s**2)
+        side = "above" if tail**2 > nkp_module._TAIL_MIN * norm2 else "below"
+        event(f"{path}, tail ratio {side} _TAIL_MIN")
+        with mock.patch.object(nkp_module, "_DENSE_WORK", 1 << 62 if path == "dense" else 0):
+            if path == "gram":
+                with mock.patch.object(nkp_module, "leading_triplet", lambda R: None):
+                    f = nkp(A, m2, n2)
+            else:
+                f = nkp(A, m2, n2)
         gap = 1.0 if s.size == 1 else (s[0] - s[1]) / s[0]
         got = np.outer(vec(f.B), vec(f.C))
         assert rel_err(got, ref) <= 1e-10 / max(gap, 1e-6)
-        assert f.residual == pytest.approx(tail, rel=1e-9, abs=1e-12 * np.linalg.norm(A))
+        scale = np.linalg.norm(A)
+        assert f.residual == pytest.approx(tail, rel=1e-9, abs=1e-12 * scale)
+        direct = np.linalg.norm(A - np.kron(f.B, f.C))
+        assert f.residual == pytest.approx(direct, rel=1e-9, abs=1e-12 * scale)
 
     def test_residual_is_direct_near_exact_structure(self):
         # A tail far below ||A|| * sqrt(eps) vanishes in sqrt(||A||^2 - s1^2);
@@ -291,6 +311,26 @@ class TestRearrangedInput:
         R = np.zeros((12, 6), dtype=np.complex128)
         with pytest.raises(DimensionError):
             nkp(R, 2, 3, blocks=(3, 3))
+
+    def test_no_temporary_the_size_of_the_rearrangement(self):
+        # The residual comes from ||R||^2 - s1^2 here (tail ratio about
+        # 5e-3), so neither call allocates anything near R's size; numpy
+        # reports its buffers to tracemalloc.
+        rng = np.random.default_rng(32)
+        A = np.kron(cplx(rng, 16, 16), cplx(rng, 16, 16)) + 0.1 * cplx(rng, 256, 256)
+        R = rearrange(A, 16, 16)
+        calls = {
+            "nkp": lambda: nkp(R, 16, 16, blocks=(16, 16)),
+            "mat_stp_svd_trunc": lambda: mat_stp_svd_trunc(R, 16, 16, 4, blocks=(16, 16)),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < R.nbytes / 2, (name, peak / R.nbytes)
 
     def test_in_place_residual_matches_the_kron_difference(self):
         rng = np.random.default_rng(31)
