@@ -171,7 +171,7 @@ def run_method(
         F = tensor_stp_svd_trunc(img.samples, m2, n2, R, threads=threads)
         test, kind = ImageBuffer(decode_samples(F)[0]), Method.TRUNC_STPSVD
     else:
-        test = tensor_to_image(reconstruct(t_svd_trunc(img.samples, R), drop_imag=True))
+        test = tensor_to_image(reconstruct(t_svd_trunc(img.samples, R)))
         kind = Method.TRUNC_TSVD
     elapsed = time.perf_counter() - t0
     count = storage_count(kind, m1, m2, n1, n2, c, R)

@@ -183,7 +183,7 @@ def deserialize(data: bytes) -> TensorStpSvd:
         sigma = rd.array(r, "<f8", f"slice {i} singular values")
         C = rd.matrix(m2, n2, f"slice {i} Kronecker factor")
         V = rd.matrix(n1, r, f"slice {i} right factor")
-        slices.append(MatStpSvd(U=U, sigma=sigma, C=C, V=V, dims=(m1, m2, n1, n2)))
+        slices.append(MatStpSvd(U=U, sigma=sigma, C=C, V=V))
     if rd.pos != len(rd.data):
         raise FormatError(
             f"{len(rd.data) - rd.pos} trailing bytes after factor payload", rd.pos

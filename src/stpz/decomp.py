@@ -54,12 +54,13 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MatStpSvd:
     """Compact factors of the matrix decomposition A ≈ U ⋉ Σ ⋉ V^H.
 
     U is m1 x r and V is n1 x r with orthonormal columns, sigma descending;
-    Σ = diag(sigma) ⊗ C is never materialized.  dims is (m1, m2, n1, n2).
+    Σ = diag(sigma) ⊗ C is never materialized.  ``dims`` (m1, m2, n1, n2)
+    comes from the shapes of U, C and V; the constructor takes keywords only.
 
     The factorization also leaves the two error terms of the paper's bound:
     e1 = ||A - B ⊗ C||_F, the NKP residual, and e2 = ||C||_F ||sigma_B[r:]||,
@@ -75,13 +76,16 @@ class MatStpSvd:
     sigma: np.ndarray
     C: np.ndarray
     V: np.ndarray
-    dims: tuple[int, int, int, int]
     e1: float | None = None
     e2: float | None = None
 
     @property
     def rank(self) -> int:
         return self.sigma.size
+
+    @property
+    def dims(self) -> tuple[int, int, int, int]:
+        return (self.U.shape[0], self.C.shape[0], self.V.shape[0], self.C.shape[1])
 
 
 @dataclass
@@ -227,7 +231,6 @@ def mat_stp_svd_trunc(
         sigma=f.sigma[:r].copy(),
         C=factors.C,
         V=f.V[:, :r].copy(),
-        dims=(m1, m2, n1, n2),
         e1=factors.residual,
         e2=float(np.linalg.norm(factors.C) * np.linalg.norm(f.sigma[r:])),
     )
@@ -336,10 +339,6 @@ def _check_slices(F: TensorStpSvd) -> None:
     m1, m2, n1, n2, l = F.dims
     _check_block_rank(F.block_rank, l, min(m1, n1))
     for i, s in enumerate(F.slices):
-        if s.dims != (m1, m2, n1, n2):
-            raise DimensionError(
-                f"slice {i} dims {s.dims} differ from {(m1, m2, n1, n2)}"
-            )
         r = s.rank
         if s.U.shape != (m1, r) or s.C.shape != (m2, n2) or s.V.shape != (n1, r):
             raise DimensionError(f"slice {i} factor shapes are inconsistent")

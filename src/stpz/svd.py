@@ -78,8 +78,7 @@ def svd(A) -> SvdResult:
     if not np.all(np.isfinite(A)):
         raise NumericError("svd input contains NaN or Inf")
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    V = Vh.conj().T.copy()
-    U = U.copy()
+    V = np.conj(Vh.T, order="C")
     _fix_phases(U, V)
     return SvdResult(U=U, sigma=s, V=V)
 
@@ -106,6 +105,11 @@ def leading_triplet(A) -> SvdResult | None:
     orthogonal to v_1.  A matrix built with v_1 orthogonal to the fixed w
     converges to a smaller singular value; its residual is still below the
     tolerance.
+
+    The Lanczos norms are not rescaled, so ||A||_F^2 must lie within
+    [2^-600, 2^600], the range :func:`~stpz.nkp.nkp` scales its input into.
+    Far outside it the vectors overflow or underflow, and the result is
+    None, an inaccurate triplet or numpy's LinAlgError.
     """
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:

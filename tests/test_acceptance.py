@@ -353,7 +353,6 @@ def test_c11_container_roundtrip_and_rejection():
                     sigma=np.sort(rng.random(r))[::-1],
                     C=cplx(rng, m2, n2),
                     V=cplx(rng, n1, r),
-                    dims=(m1, m2, n1, n2),
                 )
             )
         F = TensorStpSvd(slices, (m1, m2, n1, n2, l), real_input=bool(trial % 2))

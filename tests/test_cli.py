@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,9 @@ from stpz.decomp import decode_samples, reconstruct, tensor_stp_svd_trunc
 from stpz.errors import DimensionError, NumericError
 from stpz.imaging import ImageBuffer, load_ppm, save_ppm, tensor_to_image
 from stpz.synthetic import structured_test_image
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -150,6 +156,21 @@ class TestCompressDecompress:
         assert code == 0
         assert base.read_bytes() == threaded.read_bytes()
 
+    @pytest.mark.parametrize("value", ["two", "-1"])
+    def test_bad_threads_env_exit_2_without_output(
+        self, tmp_path, ppm_path, capsys, monkeypatch, value
+    ):
+        monkeypatch.setenv("STPZ_THREADS", value)
+        packed = tmp_path / "x.stpz"
+        code = main([
+            "compress", "--input", str(ppm_path), "--m2", "4", "--n2", "4",
+            "--rank", "2", "--output", str(packed),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not packed.exists()
+        assert captured.err.startswith("error: STPZ_THREADS must be") and value in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_threads_default_is_one_per_cpu(self, monkeypatch):
         monkeypatch.delenv("STPZ_THREADS", raising=False)
         assert _threads(3) == max(1, min(os.cpu_count() or 1, 3))
@@ -261,6 +282,12 @@ class TestExitCodes:
         bad.write_bytes(b"P9\n1 1\n255\nxxx")
         code = main(["metrics", "--ref", str(bad), "--test", str(bad)])
         assert code == 4
+
+    def test_image_header_without_payload_exit_4(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P6\n1 1\n255")
+        assert main(["metrics", "--ref", str(bad), "--test", str(bad)]) == 4
+        assert "missing whitespace after maxval" in capsys.readouterr().err
 
     def test_bad_rank_exit_2(self, tmp_path, ppm_path, capsys):
         code = main([
@@ -397,3 +424,32 @@ class TestBenchInfo:
         assert info["storage_count"] == storage_count(
             Method.TRUNC_STPSVD, 6, 4, 6, 4, 3, [1, 2, 3]
         )
+
+
+class TestProgram:
+    def test_module_runs_as_a_program(self, tmp_path, ppm_path):
+        # ``python -m stpz.cli`` runs the __main__ guard, which calls of
+        # main() in this process never reach: its exit status is main()'s.
+        path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+        def stpz(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "stpz.cli", *map(str, argv)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        packed, out = tmp_path / "o.stpz", tmp_path / "o.ppm"
+        blocks = ("--m2", 4, "--n2", 4, "--rank", 2)
+        done = stpz("compress", "--input", ppm_path, *blocks, "--output", packed)
+        assert done.returncode == 0 and set(json.loads(done.stdout)) >= {"storage_count", "cr"}
+        done = stpz("decompress", "--input", packed, "--output", out)
+        assert done.returncode == 0 and done.stderr == ""
+        want, _ = decode_samples(deserialize(packed.read_bytes()))
+        assert np.array_equal(load_ppm(out.read_bytes()).samples, want)
+        done = stpz("compress", "--input", ppm_path, "--m2", 5, "--n2", 4, "--rank", 2,
+                    "--output", tmp_path / "x.stpz")
+        assert done.returncode == 2 and done.stderr.startswith("error: m2 = 5 does not divide")
+        done = stpz("decompress", "--input", ppm_path, "--output", tmp_path / "x.ppm")
+        assert done.returncode == 4 and done.stderr.startswith("error: ")
+        assert not (tmp_path / "x.stpz").exists() and not (tmp_path / "x.ppm").exists()

@@ -23,7 +23,6 @@ def random_factors(rng, m1, m2, n1, n2, R, real_input=False):
             sigma=np.sort(rng.random(r))[::-1],
             C=cplx(rng, m2, n2),
             V=cplx(rng, n1, r),
-            dims=(m1, m2, n1, n2),
         )
         for r in R
     ]
@@ -79,6 +78,10 @@ class TestStorageFormulas:
         ]:
             with pytest.raises(DimensionError):
                 storage_count(method, 2, 2, 2, 2, l, r)
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            storage_count("bogus", 2, 2, 2, 2, 1, 1)
 
     def test_stpsvd_beats_tsvd_on_grid(self):
         for m1 in (2, 4, 8):
@@ -250,7 +253,6 @@ class TestContainer:
             sigma=np.ones(1),
             C=cplx(rng, 2, 2),
             V=cplx(rng, 3, 1),
-            dims=(3, 2, 3, 2),
         )
         with pytest.raises(DimensionError):
             serialize(F)

@@ -101,6 +101,10 @@ class TestMatStpSvd:
         with pytest.raises(DimensionError):
             mat_stp_svd(np.zeros((6, 6)), 4, 2)
 
+    def test_non_matrix(self):
+        with pytest.raises(DimensionError, match="mat_stp_svd_trunc expects a matrix"):
+            mat_stp_svd_trunc(np.ones(4), 2, 2, 1)
+
 
 class TestMatStpSvdTrunc:
     def test_full_rank_matches_untruncated(self):
@@ -758,7 +762,9 @@ def random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate):
     for j in range(l):
         if conjugate and 0 < l - j < j:
             s = slices[l - j]
-            slices.append(MatStpSvd(s.U.conj(), s.sigma.copy(), s.C.conj(), s.V.conj(), s.dims))
+            slices.append(
+                MatStpSvd(U=s.U.conj(), sigma=s.sigma.copy(), C=s.C.conj(), V=s.V.conj())
+            )
             continue
         r = R[j]
         real = conjugate and j == 0
@@ -769,7 +775,7 @@ def random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate):
         if j == 0:
             C += 4.0  # a positive mean, as an image has
         sigma = np.sort(rng.uniform(0, scale, r))[::-1]
-        slices.append(MatStpSvd(U, sigma, C.astype(np.complex128), V, (m1, m2, n1, n2)))
+        slices.append(MatStpSvd(U=U, sigma=sigma, C=C.astype(np.complex128), V=V))
     return slices
 
 
@@ -777,12 +783,11 @@ def tie_factors(m1, m2, n1, n2, l, halves):
     """Factors whose reconstruction is exactly ``halves / l``, replicated over
     the blocks and the channels: slice 0 is ones(m1, n1) ⊗ C, every other
     slice has rank 1 with sigma = 0 and C = 0, so it adds exact zeros."""
-    dims = (m1, m2, n1, n2)
     C = np.reshape(halves, (m2, n2)).astype(np.complex128)
-    slices = [MatStpSvd(np.ones((m1, 1)), np.ones(1), C, np.ones((n1, 1)), dims)]
+    U, V = np.ones((m1, 1)), np.ones((n1, 1))
+    slices = [MatStpSvd(U=U, sigma=np.ones(1), C=C, V=V)]
     return slices + [
-        MatStpSvd(np.ones((m1, 1)), np.zeros(1), np.zeros((m2, n2)), np.ones((n1, 1)), dims)
-        for _ in range(1, l)
+        MatStpSvd(U=U, sigma=np.zeros(1), C=np.zeros((m2, n2)), V=V) for _ in range(1, l)
     ]
 
 

@@ -128,6 +128,16 @@ class TestPpm:
         with pytest.raises(FormatError):
             load_ppm(b"P6\nx 1\n255\n\x00\x00\x00")
 
+    def test_non_positive_size(self):
+        with pytest.raises(FormatError, match="non-positive image size 0x1") as exc:
+            load_ppm(b"P6\n0 1\n255\n")
+        assert exc.value.offset == 0
+
+    def test_no_whitespace_after_maxval(self):
+        with pytest.raises(FormatError, match="missing whitespace after maxval") as exc:
+            load_ppm(b"P6\n1 1\n255")
+        assert exc.value.offset == 10
+
 
 class TestTensorConversion:
     def test_roundtrip_bitwise(self):

@@ -1,5 +1,6 @@
 import importlib
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from helpers import cplx, rel_err, same_bytes, with_spectrum
-from stpz.decomp import mat_stp_svd_trunc
-from stpz.errors import DimensionError
+from stpz.decomp import error_bound_matrix, mat_stp_svd_trunc, reconstruct
+from stpz.errors import DimensionError, NumericError
 from stpz.nkp import nkp, rearrange, rearrange_slices
-from stpz.svd import svd
+from stpz.svd import leading_triplet, svd
 
 # The package re-exports the function stpz.nkp, so the module is looked up
 # by its full name.
@@ -32,6 +33,27 @@ def dense_kron(A, m2, n2):
     rearranged B ⊗ C of the reference path."""
     f = svd(rearrange(A, m2, n2))
     return f.sigma[0] * np.outer(f.U[:, 0], f.V[:, 0].conj()), np.linalg.norm(f.sigma[1:])
+
+
+def scaled_norm(X):
+    """Frobenius norm of X, taken at unit scale: np.linalg.norm squares the
+    entries, which overflow or underflow at the scales tested here."""
+    top = np.abs(X).max()
+    return float(top * np.linalg.norm(X / top)) if top else 0.0
+
+
+def scale_case(path):
+    """An input whose triplet comes from one path, with m2 and the solvers
+    nkp calls for it: the dense SVD (16 x 16 rearrangement), Lanczos (64 x
+    64, Kronecker plus noise) and the Gram fallback (a 512 x 64 noise
+    rearrangement, whose flat spectrum outlasts the Lanczos budget)."""
+    rng = np.random.default_rng(40)
+    if path == "dense":
+        return np.kron(cplx(rng, 4, 4), cplx(rng, 4, 4)) + 0.1 * cplx(rng, 16, 16), 4, ["svd"]
+    if path == "lanczos":
+        A = np.kron(cplx(rng, 8, 8), cplx(rng, 8, 8)) + 0.1 * cplx(rng, 64, 64)
+        return A, 8, ["leading_triplet"]
+    return cplx(rng, 512, 64), 8, ["leading_triplet", "svds"]
 
 
 class CountingSvd:
@@ -291,6 +313,63 @@ class TestNkp:
         ref, tail = dense_kron(A, k, k)
         assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-12
         assert f.residual == pytest.approx(tail, rel=1e-12)
+
+    def test_start_vector_in_the_null_space_falls_back(self):
+        # R = x v^H with v orthogonal to the solver's start w, and x and v
+        # built so that R w is exactly zero: Lanczos gives up at once, and
+        # the triplet comes from the Gram fallback.
+        n = 64
+        w = np.random.default_rng(0).standard_normal(n)
+        v = np.zeros(n)
+        v[0], v[1] = w[1], -w[0]
+        x = np.resize([1.0, -2.0, 0.5j, 4.0], n)
+        R = np.outer(x, v)
+        assert R.any() and not (R @ w).any()
+        assert leading_triplet(R) is None
+        A = unrearrange(R, 8, 8, 8, 8)
+        f = nkp(A, 8, 8)
+        ref, tail = dense_kron(A, 8, 8)
+        assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-12
+        assert f.residual <= 1e-12 * np.linalg.norm(A) and tail <= 1e-12 * np.linalg.norm(A)
+
+
+class TestScale:
+    """Out-of-range input is factored at unit scale (``nkp._NORM2_RANGE``)."""
+
+    @pytest.mark.parametrize(
+        "c",
+        [2.0**-540, 1e-165, 1e-160, 1e160, 1e200, 2.0**530],
+        ids=["2^-540", "1e-165", "1e-160", "1e160", "1e200", "2^530"],
+    )
+    @pytest.mark.parametrize("path", ["dense", "lanczos", "gram"])
+    def test_factors_scale_with_the_input(self, monkeypatch, path, c):
+        A, m2, solvers = scale_case(path)
+        f = nkp(A, m2, m2)
+        calls = []
+        for name in ("svd", "leading_triplet", "svds"):
+            real = getattr(nkp_module, name)
+            monkeypatch.setattr(
+                nkp_module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fc = nkp(c * A, m2, m2)
+            assert calls == solvers
+            e1, e2, bound = error_bound_matrix(c * A, m2, m2, 2)
+            err = scaled_norm(c * A - reconstruct(mat_stp_svd_trunc(c * A, m2, m2, 2)))
+        assert fc.residual == pytest.approx(c * f.residual, rel=1e-12)
+        want = c * np.kron(f.B, f.C)
+        assert scaled_norm(np.kron(fc.B, fc.C) - want) <= 1e-12 * scaled_norm(want)
+        assert e1 == fc.residual and e2 > 0.0
+        assert bound >= err
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("path", ["dense", "lanczos", "gram"])
+    def test_non_finite_entry_is_a_numeric_error(self, path, bad):
+        A, m2, _ = scale_case(path)
+        A[5, 3] = bad
+        with pytest.raises(NumericError, match="NaN or Inf"):
+            nkp(A, m2, m2)
 
 
 class TestRearrangedInput:

@@ -113,6 +113,10 @@ class TestStpMat:
         with pytest.raises(DimensionError):
             stp_mat(np.zeros((2, 3)), np.zeros((2, 2)))
 
+    def test_non_matrix(self):
+        with pytest.raises(DimensionError, match="expects matrices"):
+            stp_mat(np.zeros(4), np.zeros((2, 2)))
+
 
 class TestKronTensor:
     def test_scalar_tensor_identity(self):

@@ -74,6 +74,10 @@ class TestSvd:
         with pytest.raises(NumericError):
             svd(A)
 
+    def test_non_matrix(self):
+        with pytest.raises(DimensionError, match="svd expects a matrix"):
+            svd(np.ones(3))
+
     @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (5, 5)])
     def test_real_input_gives_real_factors(self, shape):
         # Real input takes LAPACK's real-arithmetic SVD; the phase rule

@@ -7,6 +7,7 @@ from helpers import cplx, dft_matrix, rel_err
 from stpz.errors import DimensionError
 from stpz.products import t_product
 from stpz.tensor import (
+    as_array3,
     bcirc,
     bcirc_inv,
     conj_transpose,
@@ -272,3 +273,8 @@ class TestPredicates:
     def test_unitary_requires_square(self):
         with pytest.raises(DimensionError):
             is_unitary_tensor(np.ones((2, 3, 2)), 1e-8)
+
+
+def test_as_array3_rejects_a_zero_extent():
+    with pytest.raises(DimensionError, match=r"extents must be positive, got \(2, 0, 3\)"):
+        as_array3(np.zeros((2, 0, 3)))
