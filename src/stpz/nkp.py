@@ -19,20 +19,17 @@ The residual ||A - B ⊗ C||_F of the returned pair is
 sqrt(||R||_F^2 - sigma_1^2) on all three paths, read from R in one pass
 with no temporary.  Where that tail is not well above roundoff (near exact
 Kronecker structure), it is taken directly from R - vec(B) vec(C)^T
-instead.  A nonzero R whose ||R||_F^2 lies outside ``_NORM2_RANGE``, where
-squares would overflow or lose digits to underflow, is factored at unit
-scale and its factors and residual scaled back.
+instead.  R follows the input rule of :mod:`stpz.svd`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
-from .svd import leading_triplet, svd, svds
+from .errors import DimensionError
+from .svd import _scale, leading_triplet, svd, svds
 
 __all__ = ["KronFactors", "rearrange", "rearrange_slices", "nkp"]
 
@@ -53,12 +50,6 @@ _DENSE_WORK = 1 << 16
 # cost of a temporary the size of R.
 _TAIL_MIN = 1e-5
 
-# Range of ||R||_F^2 in which R is factored as it is.  Inside it no square or
-# Lanczos norm overflows, and subnormal squares, each off by at most 2^-1075,
-# stay far below eps * _TAIL_MIN * ||R||_F^2 at any size.  Outside it, a
-# nonzero R is factored at unit scale.
-_NORM2_RANGE = (2.0**-600, 2.0**600)
-
 
 @dataclass
 class KronFactors:
@@ -67,9 +58,8 @@ class KronFactors:
     ``residual`` is ||A - B ⊗ C||_F for the returned factors: the root of
     ||A||_F^2 - s1^2, the tail energy of the rearranged matrix's singular
     values, or the norm of the difference itself where that tail is too
-    small for the subtraction, at most ``_TAIL_MIN`` of ||A||_F^2.  Outside
-    ``_NORM2_RANGE`` it is taken at unit scale and scaled back (see
-    :func:`nkp`).
+    small for the subtraction, at most ``_TAIL_MIN`` of ||A||_F^2, under
+    the input rule of :mod:`stpz.svd`.
     """
 
     B: np.ndarray
@@ -140,11 +130,8 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     times ||R||_F^2, so that it would cancel, the residual is the norm of
     R - vec(B) vec(C)^T, taken directly.
 
-    A nonzero R with ||R||_F^2 outside ``_NORM2_RANGE`` = [2^-600, 2^600]
-    is factored as R c, for the even power of two c that brings its largest
-    modulus into [1/2, 2), and B / sqrt(c), C / sqrt(c) and residual / c are
-    returned, so the pair and e1 hold at every finite scale.  A NaN or Inf
-    entry raises NumericError.
+    R follows the input rule of :mod:`stpz.svd`: out of range, the factors
+    of R s^2 are returned as B / s, C / s and residual / s^2.
 
     With ``blocks=(m1, n1)``, A is not the matrix but its (m1*n1) x (m2*n2)
     rearrangement, as :func:`rearrange` or :func:`rearrange_slices` give
@@ -164,16 +151,9 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
             raise DimensionError(
                 f"rearrangement shape {R.shape} is not {(m1 * n1, m2 * n2)}"
             )
-    norm2 = np.vdot(R, R).real
-    if not _NORM2_RANGE[0] <= norm2 <= _NORM2_RANGE[1] and R.any():
-        # R s^2 has its largest modulus in [1/2, 2), and scaling by a power
-        # of two commutes with every step.
-        top = float(np.abs(R).max())
-        if not math.isfinite(top):
-            raise NumericError("nkp input contains NaN or Inf")
-        s = math.ldexp(1.0, -(math.frexp(top)[1] // 2))
-        f = nkp(R * s * s, m2, n2, blocks=(m1, n1))
-        return KronFactors(B=f.B / s, C=f.C / s, residual=f.residual / s / s)
+    s, norm2 = _scale(R, "nkp")
+    if s != 1.0:
+        R = R * s * s
     f = svd(R) if R.size * min(R.shape) <= _DENSE_WORK else leading_triplet(R)
     if f is None:
         f = svds(R, 1)
@@ -188,10 +168,12 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     # rank-1 term.
     tail = norm2 - f.sigma[0] ** 2
     if tail > _TAIL_MIN * norm2:
-        return KronFactors(B=B, C=C, residual=float(np.sqrt(tail)))
-    # Near exact Kronecker structure the difference resolves a tail that
-    # the identity would cancel.  It is taken in the outer product's own
-    # buffer, so that R is left alone.
-    E = np.outer(B.ravel(order="F"), C.ravel(order="F"))
-    np.subtract(R, E, out=E)
-    return KronFactors(B=B, C=C, residual=float(np.linalg.norm(E)))
+        e1 = float(np.sqrt(tail))
+    else:
+        # Near exact Kronecker structure the difference resolves a tail that
+        # the identity would cancel.  It is taken in the outer product's own
+        # buffer, so that R is left alone.
+        E = np.outer(B.ravel(order="F"), C.ravel(order="F"))
+        np.subtract(R, E, out=E)
+        e1 = float(np.linalg.norm(E))
+    return KronFactors(B=B / s, C=C / s, residual=e1 / s / s)

@@ -13,10 +13,18 @@ r > min(m, n) / 2, and otherwise the Rayleigh–Ritz triplets of the top r
 eigenvectors of the short-side Gram matrix.  ``leading_triplet`` is
 a Lanczos solver for the first triplet alone.  All three follow the phase
 convention.
+
+One input rule guards the solvers that square entries (``leading_triplet``,
+the Gram side of ``svds`` and :func:`~stpz.nkp.nkp`): a nonzero A with
+||A||_F^2 outside ``_NORM2_RANGE`` = [2^-600, 2^600] is factored as A s^2,
+for the power of two s that brings its largest modulus into [1/2, 2), and
+the result is scaled back; ``svds`` takes its dense route instead.
+NaN or Inf raises NumericError, and an empty matrix DimensionError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +36,11 @@ __all__ = ["SvdResult", "leading_triplet", "svd", "svds"]
 # Step budget and relative stopping tolerance of leading_triplet.
 _GKL_STEPS = 24
 _GKL_TOL = 1e-12
+
+# Range of ||A||_F^2 in which the solvers take A as it is.  Inside it no
+# square or Lanczos norm overflows, and subnormal squares, each off by at
+# most 2^-1075, stay far below eps * nkp._TAIL_MIN * ||A||_F^2 at any size.
+_NORM2_RANGE = (2.0**-600, 2.0**600)
 
 
 @dataclass
@@ -68,6 +81,24 @@ def _as_matrix(A, name: str) -> np.ndarray:
     return A
 
 
+def _scale(A: np.ndarray, name: str) -> tuple[float, float]:
+    # (s, ||A s^2||_F^2) under the input rule, with s = 1 for A in range,
+    # read in one pass, and for a zero A.  The caller builds A s^2 itself,
+    # and only if it factors it.
+    if 0 in A.shape:
+        raise DimensionError(f"{name} expects a nonempty matrix")
+    norm2 = float(np.vdot(A, A).real)
+    if _NORM2_RANGE[0] <= norm2 <= _NORM2_RANGE[1]:
+        return 1.0, norm2
+    X = np.abs(A)
+    top = float(X.max())
+    if not math.isfinite(top):
+        raise NumericError(f"{name} input contains NaN or Inf")
+    e = math.frexp(top)[1] // 2
+    np.ldexp(X, -2 * e, out=X)
+    return math.ldexp(1.0, -e), float(np.vdot(X, X))
+
+
 def svd(A) -> SvdResult:
     """Thin SVD of a dense matrix.
 
@@ -105,17 +136,11 @@ def leading_triplet(A) -> SvdResult | None:
     orthogonal to v_1.  A matrix built with v_1 orthogonal to the fixed w
     converges to a smaller singular value; its residual is still below the
     tolerance.
-
-    The Lanczos norms are not rescaled, so ||A||_F^2 must lie within
-    [2^-600, 2^600], the range :func:`~stpz.nkp.nkp` scales its input into.
-    Far outside it the vectors overflow or underflow, and the result is
-    None, an inaccurate triplet or numpy's LinAlgError.
     """
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2:
-        raise DimensionError("leading_triplet expects a matrix")
-    if not np.all(np.isfinite(A)):
-        raise NumericError("leading_triplet input contains NaN or Inf")
+    A = _as_matrix(A, "leading_triplet").astype(np.complex128, copy=False)
+    scale, _ = _scale(A, "leading_triplet")
+    if scale != 1.0:
+        A = A * scale * scale
     m, n = A.shape
     steps = min(_GKL_STEPS, m, n)
     # Basis vectors are rows, so each is contiguous.
@@ -149,7 +174,7 @@ def leading_triplet(A) -> SvdResult | None:
             U = (P[:, 0] @ Ub[: k + 1])[:, None]
             V = (Qh[0] @ Vb[: k + 1])[:, None]
             _fix_phases(U, V)
-            return SvdResult(U=U, sigma=s[:1], V=V)
+            return SvdResult(U=U, sigma=s[:1] / scale / scale, V=V)
         Ub[k + 1] = u / beta[k + 1]
     return None
 
@@ -196,8 +221,7 @@ def svds(A, r: int) -> SvdResult:
     *Matrix Computations*, on the symmetric eigenproblem); sigma and the
     truncation residual ||A - U diag(sigma) V^H|| are off by the square of
     that angle, and each sigma_i by about eps * sigma_1^2 / sigma_i
-    besides.  Entries outside [1e-100, 1e100] in magnitude, where the
-    squares would overflow or underflow, take the dense route.
+    besides.  Input the module's input rule would scale takes the dense route.
 
     The split at k / 2 is where the two routes cost about the same, at
     every size measured.  On 18 shapes from 16 x 16 to 128 x 128 and 4096 x 4, real and
@@ -209,14 +233,8 @@ def svds(A, r: int) -> SvdResult:
     k = min(A.shape)
     if not 1 <= r <= k:
         raise DimensionError(f"truncation rank {r} out of range [1, {k}]")
-    if 2 * r <= k:
-        top = float(np.abs(A).max())
-        if not np.isfinite(top):
-            raise NumericError("svds input contains NaN or Inf")
-        # In this range the squares in the Gram matrix neither overflow nor
-        # lose precision to underflow.
-        if top == 0.0 or 1e-100 < top < 1e100:
-            return _gram_svds(A, r)
+    if 2 * r <= k and _scale(A, "svds")[0] == 1.0:
+        return _gram_svds(A, r)
     full = svd(A)
     return SvdResult(U=full.U[:, :r].copy(), sigma=full.sigma[:r].copy(), V=full.V[:, :r].copy())
 

@@ -18,6 +18,13 @@ def with_spectrum(rng, m, n, sigma):
     return (U * sigma) @ V.conj().T
 
 
+def scaled_norm(X):
+    """Frobenius norm of X, taken at unit scale: np.linalg.norm squares the
+    entries, which overflow or underflow at the extreme scales tested."""
+    top = np.abs(X).max()
+    return float(top * np.linalg.norm(X / top)) if top else 0.0
+
+
 def same_bytes(a, b) -> bool:
     """True iff a and b have the same dtype, shape and bytes.
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from helpers import cplx, rel_err, same_bytes, with_spectrum
+from helpers import cplx, rel_err, same_bytes, scaled_norm, with_spectrum
 from stpz.decomp import error_bound_matrix, mat_stp_svd_trunc, reconstruct
 from stpz.errors import DimensionError, NumericError
 from stpz.nkp import nkp, rearrange, rearrange_slices
@@ -33,13 +33,6 @@ def dense_kron(A, m2, n2):
     rearranged B ⊗ C of the reference path."""
     f = svd(rearrange(A, m2, n2))
     return f.sigma[0] * np.outer(f.U[:, 0], f.V[:, 0].conj()), np.linalg.norm(f.sigma[1:])
-
-
-def scaled_norm(X):
-    """Frobenius norm of X, taken at unit scale: np.linalg.norm squares the
-    entries, which overflow or underflow at the scales tested here."""
-    top = np.abs(X).max()
-    return float(top * np.linalg.norm(X / top)) if top else 0.0
 
 
 def scale_case(path):
@@ -211,6 +204,19 @@ class TestNkp:
         with pytest.raises(DimensionError):
             nkp(np.zeros((4, 4)), 3, 2)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: nkp(np.zeros((0, 4)), 2, 2),
+            lambda: nkp(np.zeros((0, 4)), 2, 2, blocks=(0, 2)),
+            lambda: leading_triplet(np.zeros((0, 5))),
+        ],
+        ids=["matrix", "blocks", "leading_triplet"],
+    )
+    def test_empty_matrix_is_a_dimension_error(self, call):
+        with pytest.raises(DimensionError, match="nonempty matrix"):
+            call()
+
     @given(
         m1=st.integers(1, 8),
         m2=st.integers(1, 8),
@@ -334,7 +340,7 @@ class TestNkp:
 
 
 class TestScale:
-    """Out-of-range input is factored at unit scale (``nkp._NORM2_RANGE``)."""
+    """Out-of-range input is factored at unit scale (``svd._NORM2_RANGE``)."""
 
     @pytest.mark.parametrize(
         "c",

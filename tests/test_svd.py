@@ -1,11 +1,12 @@
 import importlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import cplx, jacobi_hermitian_eigvals, rel_err, with_spectrum
+from helpers import cplx, jacobi_hermitian_eigvals, rel_err, scaled_norm, with_spectrum
 from stpz.errors import DimensionError, NumericError
 from stpz.svd import leading_triplet, svd, svds
 
@@ -187,6 +188,26 @@ class TestLeadingTriplet:
         assert_allclose(f.U[:, 0], d.U[:, 0], atol=1e-13)
         assert_allclose(f.V[:, 0], d.V[:, 0], atol=1e-13)
 
+    @pytest.mark.parametrize(
+        "c",
+        [2.0**-540, 1e-165, 1e-160, 1e160, 2.0**530],
+        ids=["2^-540", "1e-165", "1e-160", "1e160", "2^530"],
+    )
+    def test_triplet_scales_with_the_input(self, c):
+        # The Kronecker-plus-noise input of test_nkp.scale_case("lanczos"),
+        # whose Lanczos norms overflow or underflow at these scales unless
+        # it is factored at unit scale.
+        rng = np.random.default_rng(40)
+        A = np.kron(cplx(rng, 8, 8), cplx(rng, 8, 8)) + 0.1 * cplx(rng, 64, 64)
+        f = leading_triplet(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fc = leading_triplet(c * A)
+            want = c * (f.sigma[0] * np.outer(f.U[:, 0], f.V[:, 0].conj()))
+            term = fc.sigma[0] * np.outer(fc.U[:, 0], fc.V[:, 0].conj())
+        assert fc.sigma[0] == pytest.approx(c * svd(A).sigma[0], rel=1e-12)
+        assert scaled_norm(term - want) <= 1e-12 * scaled_norm(want)
+
     def test_zero_input(self):
         f, d = leading_triplet(np.zeros((4, 3))), svd(np.zeros((4, 3)))
         assert f.sigma[0] == 0.0 == d.sigma[0]
@@ -360,11 +381,18 @@ class TestSvdsGram:
 
     @pytest.mark.parametrize(
         "shape, r, scale",
-        [((80, 50), 26, 1.0), ((50, 80), 50, 1.0), ((80, 50), 5, 1e-150), ((80, 50), 5, 1e150)],
+        [
+            ((80, 50), 26, 1.0),
+            ((50, 80), 50, 1.0),
+            ((80, 50), 5, 1e-150),
+            ((80, 50), 5, 1e150),
+            ((80, 50), 5, 1e-95),
+        ],
     )
     def test_dense_prefix_outside_the_gram_side(self, gram_calls, shape, r, scale):
-        # r > k / 2 and entries whose squares would underflow or overflow
-        # take the dense svd's prefix, bit for bit.
+        # r > k / 2 and input outside the solvers' input rule take the dense
+        # svd's prefix, bit for bit.  At 1e-95 every entry squares without
+        # underflow, but ||A||_F^2 is about 8e-187, below 2^-600.
         rng = np.random.default_rng(44)
         A = scale * cplx(rng, *shape)
         f, d = svds(A, r), svd(A)
