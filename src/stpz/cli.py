@@ -10,8 +10,9 @@ failure (including a container whose reconstruction overflows), 5 out of
 memory; each prints one ``error:`` line on stderr.  Any other exception is a
 bug and exits 1 with a traceback.  The STPZ_THREADS environment variable
 caps how many Fourier slices the STP decomposition of ``compress`` and
-``bench --method stpsvd`` factors at once (0 or unset = one worker per CPU,
-at most one per slice); the T-SVD baseline runs its slices serially.
+``bench --method stpsvd`` factors at once (unset or 1 = one at a time,
+serially; 0 = one worker per CPU; N = N workers; at most one per slice);
+the T-SVD baseline runs its slices serially.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class BenchReport:
 
 
 def _threads(slices: int) -> int:
-    raw = os.environ.get("STPZ_THREADS", "0")
+    raw = os.environ.get("STPZ_THREADS", "1")
     try:
         cap = int(raw)
     except ValueError:

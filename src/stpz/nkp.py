@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .svd import _scale, leading_triplet, svd, svds
+from .svd import _leading_triplet, _scale, svd, svds
 
 __all__ = ["KronFactors", "rearrange", "rearrange_slices", "nkp"]
 
@@ -154,7 +154,7 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     s, norm2 = _scale(R, "nkp")
     if s != 1.0:
         R = R * s * s
-    f = svd(R) if R.size * min(R.shape) <= _DENSE_WORK else leading_triplet(R)
+    f = svd(R) if R.size * min(R.shape) <= _DENSE_WORK else _leading_triplet(R)
     if f is None:
         f = svds(R, 1)
     s1 = np.sqrt(f.sigma[0])

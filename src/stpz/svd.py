@@ -63,13 +63,21 @@ class SvdResult:
 def _fix_phases(U: np.ndarray, V: np.ndarray) -> None:
     # Largest-modulus entry of each left vector made real positive (first
     # index wins ties); the paired right vector absorbs the same rotation.
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        m = abs(U[i, j])
-        if m > 0.0:
-            ph = np.conj(U[i, j]) / m
-            U[:, j] *= ph
-            V[:, j] *= ph
+    # The modulus is np.hypot of the parts, which gives the scalar abs()
+    # bit for bit (np.abs of a complex array may differ from it by an ulp);
+    # a zero column is left as it is.
+    i = np.argmax(np.abs(U), axis=0)
+    u = U[i, np.arange(U.shape[1])]
+    m = np.hypot(u.real, u.imag)
+    keep = m > 0.0
+    if keep.all():
+        ph = np.conj(u) / m
+        U *= ph
+        V *= ph
+    else:
+        ph = np.conj(u[keep]) / m[keep]
+        U[:, keep] *= ph
+        V[:, keep] *= ph
 
 
 def _as_matrix(A, name: str) -> np.ndarray:
@@ -139,8 +147,15 @@ def leading_triplet(A) -> SvdResult | None:
     """
     A = _as_matrix(A, "leading_triplet").astype(np.complex128, copy=False)
     scale, _ = _scale(A, "leading_triplet")
-    if scale != 1.0:
-        A = A * scale * scale
+    f = _leading_triplet(A if scale == 1.0 else A * scale * scale)
+    if f is not None:
+        f.sigma = f.sigma / scale / scale
+    return f
+
+
+def _leading_triplet(A: np.ndarray) -> SvdResult | None:
+    # leading_triplet of a nonempty complex128 A already within the input
+    # rule's range, for a caller that has checked the scale itself.
     m, n = A.shape
     steps = min(_GKL_STEPS, m, n)
     # Basis vectors are rows, so each is contiguous.
@@ -174,7 +189,7 @@ def leading_triplet(A) -> SvdResult | None:
             U = (P[:, 0] @ Ub[: k + 1])[:, None]
             V = (Qh[0] @ Vb[: k + 1])[:, None]
             _fix_phases(U, V)
-            return SvdResult(U=U, sigma=s[:1] / scale / scale, V=V)
+            return SvdResult(U=U, sigma=s[:1], V=V)
         Ub[k + 1] = u / beta[k + 1]
     return None
 

@@ -25,6 +25,20 @@ def scaled_norm(X):
     return float(top * np.linalg.norm(X / top)) if top else 0.0
 
 
+def fix_phases_loop(U, V):
+    """Reference phase fix, one column at a time: the largest-modulus entry
+    of each column of U (first index wins ties) made real positive by
+    abs(), with the same rotation applied to V's column; a zero column is
+    left alone.  Works in place."""
+    for j in range(U.shape[1]):
+        i = int(np.argmax(np.abs(U[:, j])))
+        m = abs(U[i, j])
+        if m > 0.0:
+            ph = np.conj(U[i, j]) / m
+            U[:, j] *= ph
+            V[:, j] *= ph
+
+
 def same_bytes(a, b) -> bool:
     """True iff a and b have the same dtype, shape and bytes.
 

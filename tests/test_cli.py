@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import rank_zero_container, textured_samples
-from stpz import cli
+from stpz import cli, decomp
 from stpz.cli import _threads, main, run_method
 from stpz.codec import Method, deserialize, serialize, storage_count
 from stpz.decomp import decode_samples, reconstruct, tensor_stp_svd_trunc
@@ -171,13 +171,25 @@ class TestCompressDecompress:
         assert captured.err.startswith("error: STPZ_THREADS must be") and value in captured.err
         assert captured.err.count("\n") == 1
 
-    def test_threads_default_is_one_per_cpu(self, monkeypatch):
+    def test_threads_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("STPZ_THREADS", raising=False)
-        assert _threads(3) == max(1, min(os.cpu_count() or 1, 3))
+        assert _threads(3) == 1
         monkeypatch.setenv("STPZ_THREADS", "0")
         assert _threads(3) == max(1, min(os.cpu_count() or 1, 3))
         monkeypatch.setenv("STPZ_THREADS", "2")
         assert _threads(3) == 2 and _threads(1) == 1
+
+    def test_default_compress_starts_no_pool(self, tmp_path, ppm_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("slice pool started")
+
+        monkeypatch.delenv("STPZ_THREADS", raising=False)
+        monkeypatch.setattr(decomp, "ThreadPoolExecutor", no_pool)
+        code, _ = run(
+            capsys, "compress", "--input", ppm_path, "--m2", 4, "--n2", 4,
+            "--rank", "2", "--output", tmp_path / "x.stpz",
+        )
+        assert code == 0
 
 
 class TestExitCodes:

@@ -729,9 +729,9 @@ class TestConjugateSymmetry:
         # nkp's dense limit, so every slice's triplet comes from Lanczos.
         nkp_module = importlib.import_module("stpz.nkp")
         calls = []
-        real_triplet = nkp_module.leading_triplet
+        real_triplet = nkp_module._leading_triplet
         monkeypatch.setattr(
-            nkp_module, "leading_triplet", lambda R: calls.append(R.shape) or real_triplet(R)
+            nkp_module, "_leading_triplet", lambda R: calls.append(R.shape) or real_triplet(R)
         )
         A = textured_samples(np.random.default_rng(70 + seed), 256, 256, 3)
         assert_conjugate_slices(tensor_stp_svd_trunc(A, 8, 8, [8, 5, 5]))

@@ -45,8 +45,8 @@ def scale_case(path):
         return np.kron(cplx(rng, 4, 4), cplx(rng, 4, 4)) + 0.1 * cplx(rng, 16, 16), 4, ["svd"]
     if path == "lanczos":
         A = np.kron(cplx(rng, 8, 8), cplx(rng, 8, 8)) + 0.1 * cplx(rng, 64, 64)
-        return A, 8, ["leading_triplet"]
-    return cplx(rng, 512, 64), 8, ["leading_triplet", "svds"]
+        return A, 8, ["_leading_triplet"]
+    return cplx(rng, 512, 64), 8, ["_leading_triplet", "svds"]
 
 
 class CountingSvd:
@@ -244,7 +244,7 @@ class TestNkp:
         event(f"{path}, tail ratio {side} _TAIL_MIN")
         with mock.patch.object(nkp_module, "_DENSE_WORK", 1 << 62 if path == "dense" else 0):
             if path == "gram":
-                with mock.patch.object(nkp_module, "leading_triplet", lambda R: None):
+                with mock.patch.object(nkp_module, "_leading_triplet", lambda R: None):
                     f = nkp(A, m2, n2)
             else:
                 f = nkp(A, m2, n2)
@@ -352,7 +352,7 @@ class TestScale:
         A, m2, solvers = scale_case(path)
         f = nkp(A, m2, m2)
         calls = []
-        for name in ("svd", "leading_triplet", "svds"):
+        for name in ("svd", "_leading_triplet", "svds"):
             real = getattr(nkp_module, name)
             monkeypatch.setattr(
                 nkp_module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
@@ -368,6 +368,23 @@ class TestScale:
         assert scaled_norm(np.kron(fc.B, fc.C) - want) <= 1e-12 * scaled_norm(want)
         assert e1 == fc.residual and e2 > 0.0
         assert bound >= err
+
+    @pytest.mark.parametrize("c", [1.0, 1e200], ids=["1", "1e200"])
+    def test_lanczos_path_reads_the_scale_once(self, monkeypatch, c):
+        # nkp's own scale check is the only norm pass: the Lanczos core
+        # takes R as nkp hands it over, and gives what the public solver,
+        # which checks the scale again, gives for it.
+        A, m2, _ = scale_case("lanczos")
+        with mock.patch.object(nkp_module, "_leading_triplet", leading_triplet):
+            want = nkp(c * A, m2, m2)
+        calls = []
+        real = nkp_module._scale
+        monkeypatch.setattr(nkp_module, "_scale", lambda R, name: calls.append(name) or real(R, name))
+        monkeypatch.setattr(svd_module, "_scale", lambda R, name: pytest.fail("second scale pass"))
+        got = nkp(c * A, m2, m2)
+        assert calls == ["nkp"]
+        assert same_bytes(got.B, want.B) and same_bytes(got.C, want.C)
+        assert got.residual == want.residual
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     @pytest.mark.parametrize("path", ["dense", "lanczos", "gram"])

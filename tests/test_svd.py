@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import cplx, jacobi_hermitian_eigvals, rel_err, scaled_norm, with_spectrum
+from helpers import (
+    cplx,
+    fix_phases_loop,
+    jacobi_hermitian_eigvals,
+    rel_err,
+    same_bytes,
+    scaled_norm,
+    with_spectrum,
+)
 from stpz.errors import DimensionError, NumericError
-from stpz.svd import leading_triplet, svd, svds
+from stpz.svd import _fix_phases, leading_triplet, svd, svds
 
 # The package re-exports the function stpz.svd, so the module is looked up
 # by its full name.
@@ -94,6 +102,55 @@ class TestSvd:
                 assert h.U[int(np.argmax(np.abs(h.U[:, j]))), j] > 0
         assert np.array_equal(f.U[:, : p - 1], g.U) and np.array_equal(f.V[:, : p - 1], g.V)
         assert_allclose(f.sigma, svd(A.astype(np.complex128)).sigma, rtol=1e-12)
+
+
+class TestFixPhases:
+    """The vectorized phase fix gives the per-column loop's factors bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize(
+        "m, k, n", [(1, 1, 1), (1, 1, 6), (5, 3, 4), (64, 64, 64), (256, 16, 16), (40, 8, 300)]
+    )
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_loop(self, dtype, m, k, n, order):
+        rng = np.random.default_rng(m * 1000 + k + n)
+        U = rng.normal(size=(m, k)).astype(dtype)
+        V = rng.normal(size=(n, k)).astype(dtype)
+        if dtype == np.complex128:
+            U += 1j * rng.normal(size=(m, k))
+            V += 1j * rng.normal(size=(n, k))
+        U *= 10.0 ** rng.uniform(-5, 5, size=k)
+        if k > 1:
+            U[:, 1] = 0.0
+        if m > 4 and k > 2:
+            # A tie for the largest modulus: the first row wins.
+            U[:, 2] /= 2 * np.abs(U[:, 2]).max()
+            U[1, 2] = (3 + 4j) if dtype == np.complex128 else 5.0
+            U[4, 2] = -U[1, 2]
+        U, V = np.asarray(U, order=order), np.asarray(V, order=order)
+        want_U, want_V = U.copy(), V.copy()
+        fix_phases_loop(want_U, want_V)
+        _fix_phases(U, V)
+        assert same_bytes(U, want_U) and same_bytes(V, want_V)
+        if m > 4 and k > 2:
+            assert U[1, 2].real == pytest.approx(5.0) and U[4, 2].real == pytest.approx(-5.0)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_matches_the_loop_on_svd_factors(self, complex_input):
+        rng = np.random.default_rng(21)
+        A = cplx(rng, 48, 32) if complex_input else rng.normal(size=(48, 32))
+        U, _, Vh = np.linalg.svd(A, full_matrices=False)
+        V = np.conj(Vh.T, order="C")
+        want_U, want_V = U.copy(), V.copy()
+        fix_phases_loop(want_U, want_V)
+        f = svd(A)
+        assert same_bytes(f.U, want_U) and same_bytes(f.V, want_V)
+
+    def test_zero_matrix_is_left_alone(self):
+        U, V = np.zeros((4, 3), dtype=np.complex128), -np.zeros((5, 3), dtype=np.complex128)
+        _fix_phases(U, V)
+        assert same_bytes(U, np.zeros((4, 3), dtype=np.complex128))
+        assert same_bytes(V, -np.zeros((5, 3), dtype=np.complex128))
 
 
 class TestSvds:
