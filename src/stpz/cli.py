@@ -18,6 +18,7 @@ the T-SVD baseline runs its slices serially.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -221,7 +222,10 @@ def cmd_info(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once.  It binds no handler: main looks up cmd_<command> on every
+    # call, so a handler wrapped or patched later is the one that runs.
     parser = argparse.ArgumentParser(
         prog="stpz",
         description="Lossy third-order tensor compression via semi-tensor-product decompositions.",
@@ -234,17 +238,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--rank", required=True, help="'full', an integer, or r1,r2,...")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("decompress", help="reconstruct a PPM/PGM image from a container")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_decompress)
 
     p = sub.add_parser("metrics", help="PSNR / SSIM / relative error of two images")
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("bench", help="time one method and report quality metrics")
     p.add_argument("--input", required=True)
@@ -252,11 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m2", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--rank", required=True)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("info", help="dump a container header")
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_info)
 
     return parser
 
@@ -264,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (FormatError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

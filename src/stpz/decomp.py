@@ -10,8 +10,9 @@ Tensor route: every frontal slice of the mode-3 DFT of the tensor gets the
 matrix treatment.  The rearrangement permutes entries within a slice and the
 DFT mixes entries across slices, so the two commute: the input is
 rearranged once, in its own dtype (one byte per sample for an image), the
-DFT is taken along the stack of rearranged slices, and each Fourier slice is
-factored where it lies in that stack, read with no copy and no write.
+DFT is taken along the stack into one plane per Fourier slice, and each is
+factored as it is, with no copy and no write: in real arithmetic, into real
+factors, where a real input's slice is self-conjugate (0, and l/2 for even l).
 Factors are kept in this compact Fourier-domain per-slice form (not expanded
 to spatial tensors); :func:`reconstruct` applies the single inverse DFT at
 the end, and :func:`decode_samples` takes an image's 8-bit samples
@@ -157,10 +158,10 @@ def _as_input(A) -> tuple[np.ndarray, bool]:
 _SIN_2PI_3 = 0.8660254037844386
 
 
-def _stack_dft(S: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT along axis 0 of an (l, p, q) stack, as a C-contiguous
-    complex128 stack bitwise equal to :func:`~stpz.tensor.dft3` of the same
-    tubes.
+def _stack_dft(S: np.ndarray) -> list[np.ndarray]:
+    """Unnormalized DFT along axis 0 of an (l, p, q) stack, as one C-contiguous
+    (p, q) plane per Fourier slice with the bytes of :func:`~stpz.tensor.dft3`:
+    float64, its real part, for a real stack's slices i = -i (mod l).
 
     numpy's FFT pays tens of ns per tube, which dominates for the length-3
     tubes of an RGB image.  So a real stack of one or three slices (a gray
@@ -171,27 +172,28 @@ def _stack_dft(S: np.ndarray) -> np.ndarray:
     """
     l = S.shape[0]
     if S.dtype.kind == "c" or l not in (1, 3):
-        return np.fft.fft(np.asarray(S, dtype=np.complex128), axis=0)
-    out = np.empty(S.shape, dtype=np.complex128)
-    re, im = out.real, out.imag
-    im[0] = 0.0
+        return [
+            np.ascontiguousarray(P.real) if S.dtype.kind != "c" and 2 * i % l == 0 else P
+            for i, P in enumerate(np.fft.fft(np.asarray(S, dtype=np.complex128), axis=0))
+        ]
     if l == 1:
-        re[0] = S[0]
-    else:
-        # t = x1 + x2, c = x0 - t/2, s = -sin(2 pi/3) (x1 - x2); the slices
-        # are x0 + t, (c + 0.0) + (0.0 + s)i and (c - 0.0) + (0.0 - s)i.
-        # c - 0.0 is c bit for bit; c + 0.0 and 0.0 + s turn -0.0 into 0.0.
-        t = np.add(S[1], S[2], dtype=np.float64)
-        np.add(S[0], t, out=re[0], dtype=np.float64)
-        t *= -0.5
-        np.add(S[0], t, out=t, dtype=np.float64)
-        np.add(t, 0.0, out=re[1])
-        re[2] = t
-        d = np.subtract(S[1], S[2], dtype=np.float64)
-        d *= -_SIN_2PI_3
-        np.add(d, 0.0, out=im[1])
-        np.subtract(0.0, d, out=im[2])
-    return out
+        return [np.asarray(S[0], dtype=np.float64)]
+    # t = x1 + x2, c = x0 - t/2, s = -sin(2 pi/3) (x1 - x2); the slices
+    # are x0 + t, (c + 0.0) + (0.0 + s)i and (c - 0.0) + (0.0 - s)i.
+    # c - 0.0 is c bit for bit; c + 0.0 and 0.0 + s turn -0.0 into 0.0.
+    out = np.empty((2,) + S.shape[1:], dtype=np.complex128)
+    re, im = out.real, out.imag
+    t = np.add(S[1], S[2], dtype=np.float64)
+    x0 = np.add(S[0], t, dtype=np.float64)
+    t *= -0.5
+    np.add(S[0], t, out=t, dtype=np.float64)
+    np.add(t, 0.0, out=re[0])
+    re[1] = t
+    d = np.subtract(S[1], S[2], dtype=np.float64)
+    d *= -_SIN_2PI_3
+    np.add(d, 0.0, out=im[0])
+    np.subtract(0.0, d, out=im[1])
+    return [x0, out[0], out[1]]
 
 
 def _matrix_blocks(A, m2: int, n2: int, blocks, name: str) -> tuple[int, int]:
@@ -251,16 +253,16 @@ def tensor_stp_svd_trunc(
     up to ``threads`` Fourier slices at once.
 
     For a real A (an image), slice l - i is conj(slice i), and so are their
-    factors.  R[i] != R[l - i] truncates such a pair unevenly and leaves an
-    imaginary part in the reconstruction; ``stpz decompress`` drops it with
-    a warning."""
+    factors; the self-conjugate slices are real, and so are their factors.
+    R[i] != R[l - i] truncates such a pair unevenly and leaves an imaginary
+    part in the reconstruction; ``stpz decompress`` drops it with a warning."""
     A, real = _as_input(A)
     m, n, l = A.shape
     m1, n1 = _split(m, n, m2, n2)
     R = _check_block_rank(R, l, min(m1, n1))
-    # Ah[i] is the C-contiguous (m1*n1) x (m2*n2) rearrangement of Fourier
-    # slice i, bitwise equal to rearrange(dft3(A)[:, :, i], m2, n2), with no
-    # complex copy of A.
+    # Ah[i] is the C-contiguous rearrangement of Fourier slice i, with the
+    # bytes of rearrange(dft3(A)[:, :, i], m2, n2) (float64, its real part, for
+    # a self-conjugate slice of real A), and no complex copy of A.
     Ah = _stack_dft(rearrange_slices(A, m2, n2))
     slices = _slice_map(
         lambda i: mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)), l, threads
@@ -309,7 +311,7 @@ def t_svd_trunc(A, R: Sequence[int]) -> TSvdFactors:
     n1, n2, n3 = A.shape
     R = _check_block_rank(R, n3, min(n1, n2))
     rmax = max(R)
-    # Ah[i] is DFT slice i.
+    # Ah[i] is DFT slice i, a float64 plane where it is real.
     Ah = _stack_dft(np.ascontiguousarray(np.moveaxis(A, 2, 0)))
     Uh = np.zeros((n1, rmax, n3), dtype=np.complex128)
     Sh = np.zeros((rmax, rmax, n3), dtype=np.complex128)
@@ -325,7 +327,7 @@ def t_svd_trunc(A, R: Sequence[int]) -> TSvdFactors:
         # j is the slice that takes slice i's factors conjugated: its mirror
         # for real A, none (j == i) for complex A.
         j = -i % n3 if real else i
-        f = svds(Ah[i].real if real and i == j else Ah[i], max(R[i], R[j]))
+        f = svds(Ah[i], max(R[i], R[j]))
         put(i, f.U, f.sigma, f.V)
         if j != i:
             put(j, f.U.conj(), f.sigma, f.V.conj())

@@ -19,7 +19,8 @@ The residual ||A - B ⊗ C||_F of the returned pair is
 sqrt(||R||_F^2 - sigma_1^2) on all three paths, read from R in one pass
 with no temporary.  Where that tail is not well above roundoff (near exact
 Kronecker structure), it is taken directly from R - vec(B) vec(C)^T
-instead.  R follows the input rule of :mod:`stpz.svd`.
+instead.  R follows the input rule of :mod:`stpz.svd`, and its dtype rule:
+real input is factored in real arithmetic into real factors.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .svd import _leading_triplet, _scale, svd, svds
+from .svd import _as_matrix, _leading_triplet, _scale, svd, svds
 
 __all__ = ["KronFactors", "rearrange", "rearrange_slices", "nkp"]
 
@@ -140,17 +141,14 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     or any other pair with the same product, is not detected and gives a B
     of that shape.  A is only read, in either form.
     """
+    R = _as_matrix(A, "nkp")
     if blocks is None:
-        A = np.asarray(A, dtype=np.complex128)
-        R = rearrange(A, m2, n2)
-        m1, n1 = _split(A.shape[0], A.shape[1], m2, n2)
+        m1, n1 = _split(R.shape[0], R.shape[1], m2, n2)
+        R = rearrange_slices(R[:, :, None], m2, n2)[0]
     else:
         m1, n1 = blocks
-        R = np.asarray(A, dtype=np.complex128)
         if R.shape != (m1 * n1, m2 * n2):
-            raise DimensionError(
-                f"rearrangement shape {R.shape} is not {(m1 * n1, m2 * n2)}"
-            )
+            raise DimensionError(f"rearrangement shape {R.shape} is not {(m1 * n1, m2 * n2)}")
     s, norm2 = _scale(R, "nkp")
     if s != 1.0:
         R = R * s * s

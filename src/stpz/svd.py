@@ -81,9 +81,9 @@ def _fix_phases(U: np.ndarray, V: np.ndarray) -> None:
 
 
 def _as_matrix(A, name: str) -> np.ndarray:
-    # Complex input stays complex128; any other dtype becomes float64.
+    # A real dtype (bool, integer or floating) becomes float64, any other complex128.
     A = np.asarray(A)
-    A = np.asarray(A, dtype=np.complex128 if np.iscomplexobj(A) else np.float64)
+    A = np.asarray(A, dtype=np.float64 if A.dtype.kind in "biuf" else np.complex128)
     if A.ndim != 2:
         raise DimensionError(f"{name} expects a matrix")
     return A
@@ -110,8 +110,8 @@ def _scale(A: np.ndarray, name: str) -> tuple[float, float]:
 def svd(A) -> SvdResult:
     """Thin SVD of a dense matrix.
 
-    Real input (any non-complex dtype) gives real float64 factors; complex
-    input gives complex128 factors.
+    Real input (a bool, integer or floating dtype) gives real float64
+    factors; any other input (complex, or object) complex128 factors.
     """
     A = _as_matrix(A, "svd")
     if not np.all(np.isfinite(A)):
@@ -136,7 +136,8 @@ def leading_triplet(A) -> SvdResult | None:
     rank-deficient input (for example the rearrangement of an exact
     Kronecker product, of rank 1) breaks down with beta = 0, which is such
     a stop.  A zero input gives (0, e_1, e_1) as :func:`svd` does.  The
-    result has one column and follows :func:`svd`'s phase convention.
+    result has one column and follows :func:`svd`'s phase convention, and
+    is real, from a real Lanczos basis, for real input.
 
     The stopping test certifies a singular triplet, not the leading one.
     Like any Krylov method from one start vector, the process finds
@@ -145,7 +146,7 @@ def leading_triplet(A) -> SvdResult | None:
     converges to a smaller singular value; its residual is still below the
     tolerance.
     """
-    A = _as_matrix(A, "leading_triplet").astype(np.complex128, copy=False)
+    A = _as_matrix(A, "leading_triplet")
     scale, _ = _scale(A, "leading_triplet")
     f = _leading_triplet(A if scale == 1.0 else A * scale * scale)
     if f is not None:
@@ -154,13 +155,13 @@ def leading_triplet(A) -> SvdResult | None:
 
 
 def _leading_triplet(A: np.ndarray) -> SvdResult | None:
-    # leading_triplet of a nonempty complex128 A already within the input
-    # rule's range, for a caller that has checked the scale itself.
+    # leading_triplet of a nonempty float64 or complex128 A already within
+    # the input rule's range, for a caller that has checked the scale itself.
     m, n = A.shape
     steps = min(_GKL_STEPS, m, n)
-    # Basis vectors are rows, so each is contiguous.
-    Ub = np.empty((steps + 1, m), dtype=np.complex128)
-    Vb = np.empty((steps, n), dtype=np.complex128)
+    # Basis vectors are rows, so each is contiguous; they take A's dtype.
+    Ub = np.empty((steps + 1, m), dtype=A.dtype)
+    Vb = np.empty((steps, n), dtype=A.dtype)
     alpha = np.empty(steps)
     beta = np.empty(steps + 1)
     u = A @ np.random.default_rng(0).standard_normal(n)
@@ -168,8 +169,7 @@ def _leading_triplet(A: np.ndarray) -> SvdResult | None:
     if beta[0] == 0.0:
         if A.any():
             return None
-        U, V = np.zeros((m, 1), dtype=np.complex128), np.zeros((n, 1), dtype=np.complex128)
-        U[0, 0] = V[0, 0] = 1.0
+        U, V = np.eye(m, 1, dtype=A.dtype), np.eye(n, 1, dtype=A.dtype)
         return SvdResult(U=U, sigma=np.zeros(1), V=V)
     Ub[0] = u / beta[0]
     for k in range(steps):

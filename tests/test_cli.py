@@ -465,3 +465,19 @@ class TestProgram:
         done = stpz("decompress", "--input", ppm_path, "--output", tmp_path / "x.ppm")
         assert done.returncode == 4 and done.stderr.startswith("error: ")
         assert not (tmp_path / "x.stpz").exists() and not (tmp_path / "x.ppm").exists()
+
+    def test_parser_is_built_once_and_handlers_are_looked_up_per_call(
+        self, monkeypatch, tmp_path, ppm_path
+    ):
+        # The parser binds no handler, so a cmd_* patched (or wrapped by a
+        # tracer) after the parser was built is still the one that runs.
+        cli._build_parser.cache_clear()
+        packed = tmp_path / "o.stpz"
+        argv = ["compress", "--input", str(ppm_path), "--m2", "4", "--n2", "4", "--rank", "2"]
+        assert main([*argv, "--output", str(packed)]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_info", lambda args: seen.append(args.input) or 0)
+        assert main(["info", "--input", str(packed)]) == 0
+        assert seen == [str(packed)]
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)

@@ -579,12 +579,18 @@ class TestFourierFrontEnd:
         F = tensor_stp_svd_trunc(A, m2, n2, [1] * l)
         assert F.dims == (m1, m2, n1, n2, l)
         assert F.real_input == bool(np.all(np.imag(A) == 0))
-        Ah = decomp_module._stack_dft(rearrange_slices(A, m2, n2))
+        S = rearrange_slices(A, m2, n2)
+        Ah = decomp_module._stack_dft(S)
         ref = dft3(A)
-        assert Ah.shape == (l, m1 * n1, m2 * n2)
+        assert len(Ah) == l
         for i in range(l):
-            assert Ah[i].flags.c_contiguous
-            assert same_bytes(Ah[i], rearrange(ref[:, :, i], m2, n2))
+            # A real stack's self-conjugate slices are float64 planes of
+            # dft3's real part; every other plane has dft3's complex bytes.
+            want = rearrange(ref[:, :, i], m2, n2)
+            real = S.dtype.kind != "c" and 2 * i % l == 0
+            assert Ah[i].shape == (m1 * n1, m2 * n2) and Ah[i].flags.c_contiguous
+            assert Ah[i].dtype == (np.float64 if real else np.complex128)
+            assert same_bytes(Ah[i], want.real if real else want)
 
     @pytest.mark.parametrize("l", [1, 3])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -597,6 +603,56 @@ class TestFourierFrontEnd:
         got = serialize(tensor_stp_svd_trunc(A, 8, 8, R, threads=threads))
         want = serialize(tensor_stp_svd_trunc(A.astype(np.complex128), 8, 8, R, threads=threads))
         assert got == want
+
+    @pytest.mark.parametrize(
+        "kind, l, real",
+        [
+            ("gray", 1, [0]),
+            ("rgb", 3, [0]),
+            ("float", 2, [0, 1]),
+            ("float", 4, [0, 2]),
+            ("complex", 3, []),
+        ],
+    )
+    def test_self_conjugate_slices_of_real_input_are_float64(self, kind, l, real):
+        # For real input the planes and factors of slices i = -i (mod l) are
+        # float64, and every other slice is complex128.
+        rng = np.random.default_rng(64)
+        if kind in ("gray", "rgb"):
+            A = textured_samples(rng, 16, 16, l)
+        elif kind == "float":
+            A = rng.normal(size=(16, 16, l))
+        else:
+            A = cplx(rng, 16, 16, l)
+        planes = decomp_module._stack_dft(rearrange_slices(A, 4, 4))
+        F = tensor_stp_svd_trunc(A, 4, 4, [2] * l)
+        for i, s in enumerate(F.slices):
+            want = np.float64 if i in real else np.complex128
+            assert planes[i].dtype == s.U.dtype == s.C.dtype == s.V.dtype == want
+        assert F.real_input == (kind != "complex")
+
+    @pytest.mark.parametrize(
+        "size, solver", [(128, "_leading_triplet"), (32, "svd")], ids=["lanczos", "dense"]
+    )
+    def test_real_slice_matches_its_complex_factoring(self, monkeypatch, size, solver):
+        # Slice 0 of an RGB image, factored in real arithmetic, against the
+        # same plane cast to complex128.  At m2 = 8 a 128 x 128 image
+        # rearranges to 256 x 64 (the Lanczos side of nkp) and a 32 x 32 one
+        # to 16 x 64 (the dense SVD).
+        nkp_module = importlib.import_module("stpz.nkp")
+        A = textured_samples(np.random.default_rng(65), size, size, 3)
+        m1 = size // 8
+        plane = decomp_module._stack_dft(rearrange_slices(A, 8, 8))[0]
+        want = mat_stp_svd_trunc(plane.astype(np.complex128), 8, 8, 4, blocks=(m1, m1))
+        calls = []
+        real = getattr(nkp_module, solver)
+        monkeypatch.setattr(nkp_module, solver, lambda R: calls.append(R.dtype) or real(R))
+        got = tensor_stp_svd_trunc(A, 8, 8, [4, 3, 3]).slices[0]
+        assert calls[0] == np.float64 and got.U.dtype == np.float64
+        assert_allclose(got.sigma, want.sigma, rtol=1e-12)
+        assert got.e1 == pytest.approx(want.e1, rel=1e-12)
+        assert got.e2 == pytest.approx(want.e2, rel=1e-12)
+        assert rel_err(reconstruct(got), reconstruct(want)) <= 1e-12
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_t_svd_trunc_samples_give_the_factors_of_complex_input(self, l):

@@ -323,20 +323,23 @@ class TestNkp:
     def test_start_vector_in_the_null_space_falls_back(self):
         # R = x v^H with v orthogonal to the solver's start w, and x and v
         # built so that R w is exactly zero: Lanczos gives up at once, and
-        # the triplet comes from the Gram fallback.
+        # the triplet comes from the Gram fallback, in R's own arithmetic
+        # (complex, then real).
         n = 64
         w = np.random.default_rng(0).standard_normal(n)
         v = np.zeros(n)
         v[0], v[1] = w[1], -w[0]
-        x = np.resize([1.0, -2.0, 0.5j, 4.0], n)
-        R = np.outer(x, v)
-        assert R.any() and not (R @ w).any()
-        assert leading_triplet(R) is None
-        A = unrearrange(R, 8, 8, 8, 8)
-        f = nkp(A, 8, 8)
-        ref, tail = dense_kron(A, 8, 8)
-        assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-12
-        assert f.residual <= 1e-12 * np.linalg.norm(A) and tail <= 1e-12 * np.linalg.norm(A)
+        for third in (0.5j, 0.5):
+            x = np.resize([1.0, -2.0, third, 4.0], n)
+            R = np.outer(x, v)
+            assert R.any() and not (R @ w).any()
+            assert leading_triplet(R) is None
+            A = unrearrange(R, 8, 8, 8, 8)
+            f = nkp(A, 8, 8)
+            assert f.B.dtype == f.C.dtype == R.dtype
+            ref, tail = dense_kron(A, 8, 8)
+            assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-12
+            assert f.residual <= 1e-12 * np.linalg.norm(A) and tail <= 1e-12 * np.linalg.norm(A)
 
 
 class TestScale:
@@ -393,6 +396,47 @@ class TestScale:
         A[5, 3] = bad
         with pytest.raises(NumericError, match="NaN or Inf"):
             nkp(A, m2, m2)
+
+
+class TestRealInput:
+    """Real input is factored in real arithmetic into real factors."""
+
+    @pytest.mark.parametrize("path", ["dense", "lanczos", "gram"])
+    @pytest.mark.parametrize("blocks", [False, True], ids=["matrix", "blocks"])
+    def test_real_factors_match_the_complex_route(self, monkeypatch, path, blocks):
+        A, m2, solvers = scale_case(path)
+        A = A.real.copy()
+        m1, n1 = A.shape[0] // m2, A.shape[1] // m2
+
+        def run(X):
+            if blocks:
+                return nkp(rearrange_slices(X[:, :, None], m2, m2)[0], m2, m2, blocks=(m1, n1))
+            return nkp(X, m2, m2)
+
+        want = run(A.astype(np.complex128))
+        calls = []
+        for name in ("svd", "_leading_triplet", "svds"):
+            real = getattr(nkp_module, name)
+            monkeypatch.setattr(
+                nkp_module, name, lambda *a, real=real: calls.append(a[0].dtype) or real(*a)
+            )
+        got = run(A)
+        assert calls == [np.float64] * len(solvers)
+        assert got.B.dtype == got.C.dtype == np.float64
+        kron, ref = np.kron(got.B, got.C), np.kron(want.B, want.C)
+        assert np.linalg.norm(kron - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert got.residual == pytest.approx(want.residual, rel=1e-12)
+
+    def test_dtype_rule(self):
+        # Integers are factored as float64, and an object array of complex
+        # numbers as complex128, as tensor.as_array3 has it.
+        A = np.arange(24).reshape(4, 6)
+        got, want = nkp(A, 2, 3), nkp(A.astype(np.float64), 2, 3)
+        assert same_bytes(got.B, want.B) and same_bytes(got.C, want.C)
+        Z = A + 1j
+        got, want = nkp(Z.astype(object), 2, 3), nkp(Z, 2, 3)
+        assert want.B.dtype == np.complex128
+        assert same_bytes(got.B, want.B) and same_bytes(got.C, want.C)
 
 
 class TestRearrangedInput:

@@ -266,10 +266,27 @@ class TestLeadingTriplet:
         assert scaled_norm(term - want) <= 1e-12 * scaled_norm(want)
 
     def test_zero_input(self):
-        f, d = leading_triplet(np.zeros((4, 3))), svd(np.zeros((4, 3)))
-        assert f.sigma[0] == 0.0 == d.sigma[0]
-        assert np.array_equal(f.U[:, 0], d.U[:, 0])
-        assert np.array_equal(f.V[:, 0], d.V[:, 0])
+        for dtype in (np.float64, np.complex128):
+            A = np.zeros((4, 3), dtype=dtype)
+            f, d = leading_triplet(A), svd(A)
+            assert f.U.dtype == f.V.dtype == d.U.dtype == dtype
+            assert f.sigma[0] == 0.0 == d.sigma[0]
+            assert np.array_equal(f.U[:, 0], d.U[:, 0])
+            assert np.array_equal(f.V[:, 0], d.V[:, 0])
+
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40)], ids=["tall", "wide"])
+    def test_real_input_gives_real_factors(self, shape):
+        # A real matrix is factored with a real basis, into the triplet of
+        # the complex route up to rounding.
+        rng = np.random.default_rng(16)
+        m, n = shape
+        A = rng.normal(size=shape) + 2.0 * np.outer(rng.normal(size=m), rng.normal(size=n))
+        f, want = leading_triplet(A), leading_triplet(A.astype(np.complex128))
+        assert f.U.dtype == f.V.dtype == np.float64 and want.U.dtype == np.complex128
+        assert f.sigma[0] == pytest.approx(want.sigma[0], rel=1e-12)
+        assert_allclose(f.U, want.U, atol=1e-12)
+        assert_allclose(f.V, want.V, atol=1e-12)
+        assert f.U[np.argmax(np.abs(f.U[:, 0])), 0] > 0
 
     def test_repeated_leading_value(self):
         # sigma_1 = sigma_2: any unit vector of the leading pair's span is a
