@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomp import MatStpSvd, TensorStpSvd, _check_block_rank, _check_dims, _check_slices
+from .decomp import MatStpSvd, TensorStpSvd, _check_block_rank, _check_dims
 from .errors import DimensionError, FormatError
 
 __all__ = [
@@ -108,7 +108,6 @@ def _mat_bytes(a: np.ndarray) -> bytes:
 
 def serialize(F: TensorStpSvd) -> bytes:
     """Encode Fourier-domain factors into the STPZ v1 container."""
-    _check_slices(F)
     m1, m2, n1, n2, l = F.dims
     flags = FLAG_REAL_INPUT if F.real_input else 0
     parts = [
@@ -161,7 +160,8 @@ def _check_header(at: int, check, *args) -> None:
 
 def deserialize(data: bytes) -> TensorStpSvd:
     """Decode an STPZ v1 container; exact inverse of :func:`serialize`.  Its
-    dims and ranks pass serialize's checks before any payload is read."""
+    dims and ranks pass the factorization constructors' checks before any
+    payload is read."""
     rd = _Reader(bytes(data))
     if rd.take(4, "magic") != MAGIC:
         raise FormatError("bad magic, not an STPZ container", 0)
@@ -188,4 +188,4 @@ def deserialize(data: bytes) -> TensorStpSvd:
         raise FormatError(
             f"{len(rd.data) - rd.pos} trailing bytes after factor payload", rd.pos
         )
-    return TensorStpSvd(slices, dims, real_input=bool(flags & FLAG_REAL_INPUT))
+    return TensorStpSvd(slices=slices, real_input=bool(flags & FLAG_REAL_INPUT))

@@ -55,13 +55,16 @@ __all__ = [
 ]
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class MatStpSvd:
     """Compact factors of the matrix decomposition A ≈ U ⋉ Σ ⋉ V^H.
 
     U is m1 x r and V is n1 x r with orthonormal columns, sigma descending;
     Σ = diag(sigma) ⊗ C is never materialized.  ``dims`` (m1, m2, n1, n2)
-    comes from the shapes of U, C and V; the constructor takes keywords only.
+    comes from the shapes of U, C and V.  The constructor takes keywords
+    only and checks the factors once: sigma is a vector, U and V have
+    r = len(sigma) columns, C is a matrix with positive dims, and r lies in
+    [1, min(m1, n1)], so no slice that exists is invalid.
 
     The factorization also leaves the two error terms of the paper's bound:
     e1 = ||A - B ⊗ C||_F, the NKP residual, and e2 = ||C||_F ||sigma_B[r:]||,
@@ -80,6 +83,12 @@ class MatStpSvd:
     e1: float | None = None
     e2: float | None = None
 
+    def __post_init__(self):
+        U, s, C, V = (x.shape for x in (self.U, self.sigma, self.C, self.V))
+        if not (len(s) == 1 and U[1:] == V[1:] == s and len(C) == 2 and min(C) > 0):
+            raise DimensionError(f"factor shapes are inconsistent: U {U}, sigma {s}, C {C}, V {V}")
+        _check_block_rank([self.rank], 1, min(U[0], V[0]))
+
     @property
     def rank(self) -> int:
         return self.sigma.size
@@ -89,19 +98,32 @@ class MatStpSvd:
         return (self.U.shape[0], self.C.shape[0], self.V.shape[0], self.C.shape[1])
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class TensorStpSvd:
     """Per-Fourier-slice matrix factors of a third-order tensor.
 
     ``slices[i]`` decomposes slice i of the mode-3 DFT of the original
-    tensor; all slices share dims (m1, m2, n1, n2).  ``real_input`` records
-    whether the original tensor was real (its reconstruction then has
-    negligible imaginary residue).
+    tensor; ``slices`` is stored as a tuple.  ``dims`` (m1, m2, n1, n2, l)
+    is slice 0's dims and the number of slices.  The constructor takes
+    keywords only and refuses a factorization with no slices, or with
+    slices whose dims differ.  ``real_input`` records whether the original
+    tensor was real.  Its reconstruction is then real up to roundoff when
+    conjugate slices keep equal ranks, R[i] == R[l - i]; an uneven pair
+    leaves an imaginary part, which ``stpz decompress`` drops with a
+    warning.
     """
 
-    slices: list[MatStpSvd]
-    dims: tuple[int, int, int, int, int]
+    slices: tuple[MatStpSvd, ...]
     real_input: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "slices", tuple(self.slices))
+        if len({s.dims for s in self.slices}) != 1:
+            raise DimensionError(f"slice factor shapes give dims {[s.dims for s in self.slices]}")
+
+    @property
+    def dims(self) -> tuple[int, int, int, int, int]:
+        return self.slices[0].dims + (len(self.slices),)
 
     @property
     def block_rank(self) -> list[int]:
@@ -267,7 +289,7 @@ def tensor_stp_svd_trunc(
     slices = _slice_map(
         lambda i: mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)), l, threads
     )
-    return TensorStpSvd(slices=slices, dims=(m1, m2, n1, n2, l), real_input=real)
+    return TensorStpSvd(slices=slices, real_input=real)
 
 
 def t_svd(A) -> TSvdFactors:
@@ -334,18 +356,6 @@ def t_svd_trunc(A, R: Sequence[int]) -> TSvdFactors:
     return TSvdFactors(U=idft3(Uh), S=idft3(Sh), V=idft3(Vh))
 
 
-def _check_slices(F: TensorStpSvd) -> None:
-    """The one test of a valid factorization, as a container holds it: positive
-    dims, l slice ranks in [1, min(m1, n1)], and factor shapes that fit."""
-    _check_dims(F.dims)
-    m1, m2, n1, n2, l = F.dims
-    _check_block_rank(F.block_rank, l, min(m1, n1))
-    for i, s in enumerate(F.slices):
-        r = s.rank
-        if s.U.shape != (m1, r) or s.C.shape != (m2, n2) or s.V.shape != (n1, r):
-            raise DimensionError(f"slice {i} factor shapes are inconsistent")
-
-
 def _reconstruct_mat_slice(s: MatStpSvd) -> np.ndarray:
     # (U ⊗ I)(diag(sigma) ⊗ C)(V^H ⊗ I) collapses to (U diag(sigma) V^H) ⊗ C.
     B = (s.U * s.sigma) @ s.V.conj().T
@@ -364,7 +374,6 @@ def reconstruct(F, drop_imag: bool = False):
     if isinstance(F, MatStpSvd):
         out = _reconstruct_mat_slice(F)
     elif isinstance(F, TensorStpSvd):
-        _check_slices(F)
         m1, m2, n1, n2, l = F.dims
         out = np.empty((m1 * m2, n1 * n2, l), dtype=np.complex128)
         for i, s in enumerate(F.slices):
@@ -432,7 +441,6 @@ def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
     Raises FormatError when the reconstruction is not finite (finite factors
     whose product overflows), and DimensionError unless l is 1 or 3.
     """
-    _check_slices(F)
     m1, m2, n1, n2, l = F.dims
     if l not in (1, 3):
         raise DimensionError(f"expected 1 or 3 slices, got {l}")

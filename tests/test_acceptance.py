@@ -355,7 +355,7 @@ def test_c11_container_roundtrip_and_rejection():
                     V=cplx(rng, n1, r),
                 )
             )
-        F = TensorStpSvd(slices, (m1, m2, n1, n2, l), real_input=bool(trial % 2))
+        F = TensorStpSvd(slices=slices, real_input=bool(trial % 2))
         blob = serialize(F)
         G = deserialize(blob)
         ok = ok and serialize(G) == blob

@@ -1,10 +1,12 @@
+import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import cplx, rank_zero_container
+from helpers import cplx, rank_zero_container, same_bytes
 from stpz.codec import (
     Method,
     compression_rate,
@@ -26,9 +28,7 @@ def random_factors(rng, m1, m2, n1, n2, R, real_input=False):
         )
         for r in R
     ]
-    return TensorStpSvd(
-        slices=slices, dims=(m1, m2, n1, n2, len(R)), real_input=real_input
-    )
+    return TensorStpSvd(slices=slices, real_input=real_input)
 
 
 class TestStorageFormulas:
@@ -127,9 +127,9 @@ class TestContainer:
     def test_byte_budget_matches_layout(self):
         rng = np.random.default_rng(2)
         m1, m2, n1, n2 = 3, 2, 4, 2
-        # A slice with no blocks is no valid factorization.
+        # A slice with no blocks is no valid factorization: it cannot be built.
         with pytest.raises(DimensionError, match="entry 0 out of range"):
-            serialize(random_factors(rng, m1, m2, n1, n2, [2, 0, 1]))
+            random_factors(rng, m1, m2, n1, n2, [2, 0, 1])
         with pytest.raises(DimensionError, match="entry 0 out of range"):
             storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, 3, [2, 0, 1])
         R = [2, 1, 1]
@@ -204,21 +204,36 @@ class TestContainer:
         real_input=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(dims=(2, 2, 2, 2, 0), ranks=[1, 1, 1], real_input=False, seed=0)
+    @example(dims=(2, 0, 2, 2, 1), ranks=[1, 1, 1], real_input=False, seed=0)
+    @example(dims=(2, 2, 3, 2, 3), ranks=[1, 0, 1], real_input=True, seed=0)
+    @example(dims=(2, 2, 3, 2, 2), ranks=[2, 3, 1], real_input=True, seed=0)
     @settings(deadline=None, max_examples=200)
     def test_serialize_accepts_what_deserialize_accepts(self, dims, ranks, real_input, seed):
-        # Degenerate factorizations included: l = 0, a zero dim, rank 0 and
-        # ranks above min(m1, n1).
+        # Building the factorization raises DimensionError exactly when
+        # deserialize refuses a container with its header, at the dims
+        # (offset 8) or the ranks (offset 28), before the payload: l = 0, a
+        # zero dim, rank 0 and ranks above min(m1, n1) included.
         m1, m2, n1, n2, l = dims
         R = ranks[:l]
-        F = random_factors(np.random.default_rng(seed), m1, m2, n1, n2, R, real_input)
-        valid = min(dims) >= 1 and all(1 <= r <= min(m1, n1) for r in R)
+        header = struct.pack(f"<4sBBH5I{l}I", b"STPZ", 1, int(real_input), 0, *dims, *R)
+        payload = sum(16 * (m1 * r + m2 * n2 + n1 * r) + 8 * r for r in R)
         try:
-            blob = serialize(F)
+            F = random_factors(np.random.default_rng(seed), m1, m2, n1, n2, R, real_input)
         except DimensionError:
-            assert not valid
+            with pytest.raises(FormatError) as exc:
+                deserialize(header + bytes(payload))
+            assert exc.value.offset in (8, 28)
             return
-        assert valid
-        assert serialize(deserialize(blob)) == blob
+        blob = serialize(F)
+        assert blob[: len(header)] == header and len(blob) == len(header) + payload
+        G = deserialize(blob)
+        assert G.dims == F.dims == dims
+        assert G.block_rank == F.block_rank == R
+        assert G.real_input == real_input
+        for s, t in zip(F.slices, G.slices, strict=True):
+            for name in ("U", "sigma", "C", "V"):
+                assert same_bytes(getattr(s, name), getattr(t, name))
 
     def test_zero_dimension(self):
         rng = np.random.default_rng(9)
@@ -245,14 +260,14 @@ class TestContainer:
             deserialize(bytes(blob))
         assert exc.value.offset == at
 
-    def test_serialize_validates_slices(self):
+    def test_slices_of_other_dims_are_refused_when_built(self):
         rng = np.random.default_rng(10)
         F = random_factors(rng, 2, 2, 2, 2, [1, 1])
-        F.slices[1] = MatStpSvd(
+        other = MatStpSvd(
             U=cplx(rng, 3, 1),
             sigma=np.ones(1),
             C=cplx(rng, 2, 2),
             V=cplx(rng, 3, 1),
         )
-        with pytest.raises(DimensionError):
-            serialize(F)
+        with pytest.raises(DimensionError, match="factor shapes"):
+            replace(F, slices=[F.slices[0], other])

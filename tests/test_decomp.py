@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -53,13 +53,35 @@ def kron_structured_tensor(rng, m1, m2, n1, n2, l, rank=None):
     return idft3(Th)
 
 
-def misshapen_factors(rng):
-    """Factors of a 12 x 8 x 3 image at m2 = 3, n2 = 2 in which slice 1 keeps
-    its dims but has C transposed, or U with fewer columns than sigma."""
-    F = tensor_stp_svd_trunc(rng.integers(0, 256, size=(12, 8, 3), dtype=np.uint8), 3, 2, [2] * 3)
-    s = F.slices[1]
-    for bad in (replace(s, C=s.C.T), replace(s, U=s.U[:, :1])):
-        yield replace(F, slices=[F.slices[0], bad, F.slices[2]])
+def image_factors(rng):
+    """Factors of a 12 x 8 x 3 image at m2 = 3, n2 = 2 and rank 2, so dims
+    (4, 3, 4, 2, 3)."""
+    return tensor_stp_svd_trunc(
+        rng.integers(0, 256, size=(12, 8, 3), dtype=np.uint8), 3, 2, [2] * 3
+    )
+
+
+# Changes to slice 1 of image_factors that leave no valid factorization, with
+# the match of the DimensionError that building it raises.
+MISSHAPEN = {
+    "C transposed": (lambda s: {"C": s.C.T}, "factor shapes"),
+    "U short of sigma": (lambda s: {"U": s.U[:, :1]}, "factor shapes"),
+    "V short of sigma": (lambda s: {"V": s.V[:, :1]}, "factor shapes"),
+    "sigma not 1-D": (lambda s: {"sigma": s.sigma[None]}, "factor shapes"),
+    "zero dim in C": (lambda s: {"C": s.C[:, :0]}, "factor shapes"),
+    "rank 0": (
+        lambda s: {"U": s.U[:, :0], "sigma": s.sigma[:0], "V": s.V[:, :0]},
+        "entry 0 out of range",
+    ),
+    "rank above min(m1, n1)": (
+        lambda s: {"U": np.eye(4, 5), "sigma": np.ones(5), "V": np.eye(4, 5)},
+        r"entry 5 out of range \[1, 4\]",
+    ),
+    "other dims": (
+        lambda s: vars(mat_stp_svd(np.ones((6, 6)), 3, 3)),
+        "factor shapes",
+    ),
+}
 
 
 class TestMatStpSvd:
@@ -409,17 +431,57 @@ class TestTSvd:
             assert resid == pytest.approx(tail, rel=1e-9)
 
 
+class TestFactorizationChecks:
+    """A factorization checks itself once, when it is built, so no invalid one
+    reaches reconstruct, decode_samples or serialize."""
+
+    @pytest.mark.parametrize("case", list(MISSHAPEN))
+    def test_misshapen_slice_is_refused_when_built(self, case):
+        change, match = MISSHAPEN[case]
+        F = image_factors(np.random.default_rng(24))
+        s = F.slices[1]
+        with pytest.raises(DimensionError, match=match):
+            replace(F, slices=[F.slices[0], replace(s, **change(s)), F.slices[2]])
+
+    def test_no_slices(self):
+        with pytest.raises(DimensionError, match=r"factor shapes give dims \[\]"):
+            TensorStpSvd(slices=[])
+
+    def test_dims_come_from_the_slices(self):
+        F = image_factors(np.random.default_rng(25))
+        assert [f.name for f in fields(TensorStpSvd)] == ["slices", "real_input"]
+        G = TensorStpSvd(slices=list(F.slices[:2]), real_input=True)
+        assert type(G.slices) is tuple and G.slices == F.slices[:2]
+        s = G.slices[1]
+        assert G.dims == (s.U.shape[0], s.C.shape[0], s.V.shape[0], s.C.shape[1], 2)
+        assert F.dims == (4, 3, 4, 2, 3)
+
+    @pytest.mark.parametrize("field", ["slices", "real_input", "U"])
+    def test_frozen(self, field):
+        F = image_factors(np.random.default_rng(26))
+        target = F.slices[0] if field == "U" else F
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, field, getattr(target, field))
+
+    def test_keywords_only(self):
+        # TensorStpSvd(slices, dims) of the old signature must not make the
+        # dims a truthy real_input.
+        F = image_factors(np.random.default_rng(27))
+        s = F.slices[0]
+        with pytest.raises(TypeError):
+            TensorStpSvd(F.slices, F.dims)
+        with pytest.raises(TypeError):
+            MatStpSvd(s.U, s.sigma, s.C, s.V)
+
+
 class TestReconstructErrors:
     def test_inconsistent_tensor_dims(self):
+        # Slices of other dims are refused when the factorization is built,
+        # so reconstruct never meets them.
         rng = np.random.default_rng(22)
-        A = cplx(rng, 4, 4, 2)
-        F = tensor_stp_svd(A, 2, 2)
-        F.slices[1] = mat_stp_svd(cplx(rng, 6, 6), 3, 3)
-        with pytest.raises(DimensionError):
-            reconstruct(F)
-        for F in misshapen_factors(rng):
-            with pytest.raises(DimensionError, match="factor shapes"):
-                reconstruct(F)
+        F = tensor_stp_svd(cplx(rng, 4, 4, 2), 2, 2)
+        with pytest.raises(DimensionError, match="factor shapes"):
+            replace(F, slices=[F.slices[0], mat_stp_svd(cplx(rng, 6, 6), 3, 3)])
 
     def test_unknown_type(self):
         with pytest.raises(TypeError):
@@ -894,8 +956,10 @@ class TestDecodeSamples:
         R = [min(r, m1, n1) for r in ranks[:l]]
         if conjugate:
             R = [R[min(j, l - j)] for j in range(l)]
-        F = TensorStpSvd(random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate),
-                         (m1, m2, n1, n2, l), real_input)
+        F = TensorStpSvd(
+            slices=random_factors(rng, m1, m2, n1, n2, l, R, scale, conjugate),
+            real_input=real_input,
+        )
         _, residue, _, warn = assert_decodes_like_the_reference(F)
         if conjugate:
             assert not warn and residue < 1e-9
@@ -910,7 +974,7 @@ class TestDecodeSamples:
         # k + 0.5 for k in -1..256, times l: both paths scale by the same
         # 1/l and add exact zeros, so each reference tie is a tie here too.
         halves = l * (np.arange(m2 * n2) * 37 % 258 - 0.5)
-        F = TensorStpSvd(tie_factors(m1, m2, n1, n2, l, halves), (m1, m2, n1, n2, l), True)
+        F = TensorStpSvd(slices=tie_factors(m1, m2, n1, n2, l, halves), real_input=True)
         A = reconstruct(F)
         assert np.any((A.real % 1 == 0.5) & (A.real > 0) & (A.real < 255))
         got, residue, want, _ = assert_decodes_like_the_reference(F)
@@ -931,10 +995,7 @@ class TestDecodeSamples:
         rng = np.random.default_rng(72)
         with pytest.raises(DimensionError):
             decode_samples(tensor_stp_svd(rng.normal(size=(4, 4, 2)), 2, 2))
+        # Slices of other dims are refused when the factorization is built.
         F = tensor_stp_svd(rng.normal(size=(4, 4, 3)), 2, 2)
-        F.slices[1] = mat_stp_svd(cplx(rng, 6, 6), 3, 3)
-        with pytest.raises(DimensionError):
-            decode_samples(F)
-        for F in misshapen_factors(rng):
-            with pytest.raises(DimensionError, match="factor shapes"):
-                decode_samples(F)
+        with pytest.raises(DimensionError, match="factor shapes"):
+            replace(F, slices=[F.slices[0], mat_stp_svd(cplx(rng, 6, 6), 3, 3), F.slices[2]])
