@@ -1,18 +1,17 @@
 """Command-line interface: compress, decompress, metrics, bench, info.
 
 ``compress`` and ``bench`` need m2 to divide the image height and n2 the
-width, and a ``--rank`` of 'full', one integer, or one per channel, each in
-[1, min(m1, n1)] ([1, min(height, width)] for ``bench --method tsvd``).
+width, and a ``--rank`` of 'full', one integer, or one per Fourier slice,
+each in [1, min(m1, n1)] ([1, min(height, width)] for ``bench --method
+tsvd``).  Keep r2 == r3 for an RGB image: its second and third Fourier
+slices are a conjugate pair, and uneven ranks leave an imaginary part that
+``decompress`` drops with a warning.
 
 JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 2 dimension/validation error, 3 I/O error, 4 malformed file or numerical
 failure (including a container whose reconstruction overflows), 5 out of
 memory; each prints one ``error:`` line on stderr.  Any other exception is a
-bug and exits 1 with a traceback.  The STPZ_THREADS environment variable
-caps how many Fourier slices the STP decomposition of ``compress`` and
-``bench --method stpsvd`` factors at once (unset or 1 = one at a time,
-serially; 0 = one worker per CPU; N = N workers; at most one per slice);
-the T-SVD baseline runs its slices serially.
+bug and exits 1 with a traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -68,16 +66,9 @@ class BenchReport:
 
 
 def _threads(slices: int) -> int:
-    raw = os.environ.get("STPZ_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DimensionError(f"STPZ_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise DimensionError(f"STPZ_THREADS must be nonnegative, got {cap}")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, slices))
+    # Every Fourier slice is factored on the calling thread.  The only caller
+    # is perfbench/tests, which checks pooled spans when this exceeds 1.
+    return 1
 
 
 def _parse_rank(spec: str, slices: int, rmax: int) -> list[int]:
@@ -105,23 +96,23 @@ def _cr_str(cr: Fraction) -> str:
     return str(float(cr))
 
 
+def _stored(F) -> dict:
+    # The scalar count and rate of what a container stores, read from its
+    # factors, so that compress and info report the same for one file.
+    count = storage_count(Method.TRUNC_STPSVD, *F.dims, F.block_rank)
+    return {"storage_count": count, "cr": _cr_str(Fraction(count, math.prod(F.dims)))}
+
+
 def cmd_compress(args) -> int:
     img = load_ppm(Path(args.input).read_bytes())
     h, w, c = img.samples.shape
     m1, n1 = _split(h, w, args.m2, args.n2)
     R = _parse_rank(args.rank, c, min(m1, n1))
     t0 = time.perf_counter()
-    F = tensor_stp_svd_trunc(img.samples, args.m2, args.n2, R, threads=_threads(c))
+    F = tensor_stp_svd_trunc(img.samples, args.m2, args.n2, R)
     elapsed = time.perf_counter() - t0
     Path(args.output).write_bytes(serialize(F))
-    count = storage_count(Method.TRUNC_STPSVD, *F.dims, R)
-    _emit(
-        {
-            "storage_count": count,
-            "cr": _cr_str(Fraction(count, h * w * c)),
-            "wall_time_seconds": elapsed,
-        }
-    )
+    _emit({**_stored(F), "wall_time_seconds": elapsed})
     return 0
 
 
@@ -153,16 +144,13 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def run_method(
-    img: ImageBuffer, method: str, m2: int, n2: int, R: list[int], threads: int = 1
-) -> BenchReport:
+def run_method(img: ImageBuffer, method: str, m2: int, n2: int, R: list[int]) -> BenchReport:
     """Decompose ``img`` with one truncated method ("stpsvd" or "tsvd") at
     per-slice rank R, decode it to uint8, and score that against ``img``.
 
     STP decodes by :func:`decode_samples`, as ``stpz decompress`` does; T-SVD
     by ``reconstruct`` and ``tensor_to_image``.  The wall time covers both
-    steps, not scoring.  ``threads`` reaches the STP route only.  Any other
-    method raises ValueError.
+    steps, not scoring.  Any other method raises ValueError.
     """
     if method not in ("stpsvd", "tsvd"):
         raise ValueError(f"method must be 'stpsvd' or 'tsvd', got {method!r}")
@@ -170,7 +158,7 @@ def run_method(
     m1, n1 = _split(h, w, m2, n2)
     t0 = time.perf_counter()
     if method == "stpsvd":
-        F = tensor_stp_svd_trunc(img.samples, m2, n2, R, threads=threads)
+        F = tensor_stp_svd_trunc(img.samples, m2, n2, R)
         test, kind = ImageBuffer(decode_samples(F)[0]), Method.TRUNC_STPSVD
     else:
         test = tensor_to_image(reconstruct(t_svd_trunc(img.samples, R)))
@@ -197,15 +185,13 @@ def cmd_bench(args) -> int:
     m1, n1 = _split(h, w, args.m2, args.n2)
     rmax = min(m1, n1) if args.method == "stpsvd" else min(h, w)
     R = _parse_rank(args.rank, c, rmax)
-    _emit(run_method(img, args.method, args.m2, args.n2, R, _threads(c)).to_json())
+    _emit(run_method(img, args.method, args.m2, args.n2, R).to_json())
     return 0
 
 
 def cmd_info(args) -> int:
     F = deserialize(Path(args.input).read_bytes())
     m1, m2, n1, n2, l = F.dims
-    R = F.block_rank
-    count = storage_count(Method.TRUNC_STPSVD, m1, m2, n1, n2, l, R)
     _emit(
         {
             "m1": m1,
@@ -213,10 +199,9 @@ def cmd_info(args) -> int:
             "n1": n1,
             "n2": n2,
             "l": l,
-            "R": R,
+            "R": F.block_rank,
             "flags": {"real_input": F.real_input},
-            "storage_count": count,
-            "cr": _cr_str(Fraction(count, m1 * m2 * n1 * n2 * l)),
+            **_stored(F),
         }
     )
     return 0

@@ -24,7 +24,6 @@ carry an explicit 1/sqrt(l).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -154,15 +153,6 @@ def _check_block_rank(R: Sequence[int], l: int, rmax: int) -> list[int]:
     return R
 
 
-def _slice_map(fn, count: int, threads: int):
-    # Deterministic: results are assembled by slice index regardless of
-    # scheduling; per-slice work is independent.
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, count)) as ex:
-            return list(ex.map(fn, range(count)))
-    return [fn(i) for i in range(count)]
-
-
 def _is_real(A: np.ndarray) -> bool:
     return bool(np.all(A.imag == 0.0))
 
@@ -268,11 +258,8 @@ def tensor_stp_svd(A, m2: int, n2: int) -> TensorStpSvd:
     return tensor_stp_svd_trunc(A, m2, n2, [min(m1, n1)] * A.shape[2])
 
 
-def tensor_stp_svd_trunc(
-    A, m2: int, n2: int, R: Sequence[int], threads: int = 1
-) -> TensorStpSvd:
-    """Truncated tensor decomposition with per-slice block rank R, factoring
-    up to ``threads`` Fourier slices at once.
+def tensor_stp_svd_trunc(A, m2: int, n2: int, R: Sequence[int]) -> TensorStpSvd:
+    """Truncated tensor decomposition with per-slice block rank R.
 
     For a real A (an image), slice l - i is conj(slice i), and so are their
     factors; the self-conjugate slices are real, and so are their factors.
@@ -286,9 +273,7 @@ def tensor_stp_svd_trunc(
     # bytes of rearrange(dft3(A)[:, :, i], m2, n2) (float64, its real part, for
     # a self-conjugate slice of real A), and no complex copy of A.
     Ah = _stack_dft(rearrange_slices(A, m2, n2))
-    slices = _slice_map(
-        lambda i: mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)), l, threads
-    )
+    slices = [mat_stp_svd_trunc(Ah[i], m2, n2, R[i], blocks=(m1, n1)) for i in range(l)]
     return TensorStpSvd(slices=slices, real_input=real)
 
 

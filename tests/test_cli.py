@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from helpers import rank_zero_container, textured_samples
 from stpz import cli, decomp
-from stpz.cli import _threads, main, run_method
+from stpz.cli import main, run_method
 from stpz.codec import Method, deserialize, serialize, storage_count
 from stpz.decomp import decode_samples, reconstruct, tensor_stp_svd_trunc
 from stpz.errors import DimensionError, NumericError
@@ -140,56 +141,36 @@ class TestCompressDecompress:
         assert report["imag_residue"] == pytest.approx(imag, rel=1e-9)
         assert "warning: reconstruction had non-negligible imaginary part" in captured.err
 
-    def test_threads_env(self, tmp_path, ppm_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("value", ["2", "0", "two", "-1"])
+    def test_threads_env_is_ignored(self, tmp_path, ppm_path, capsys, monkeypatch, value):
+        shape = ("--m2", 4, "--n2", 4, "--rank", "2")
+        monkeypatch.delenv("STPZ_THREADS", raising=False)
         base = tmp_path / "x.stpz"
-        code, _ = run(
-            capsys, "compress", "--input", ppm_path, "--m2", 4, "--n2", 4,
-            "--rank", "2", "--output", base,
-        )
-        assert code == 0
-        monkeypatch.setenv("STPZ_THREADS", "2")
-        threaded = tmp_path / "y.stpz"
-        code, _ = run(
-            capsys, "compress", "--input", ppm_path, "--m2", 4, "--n2", 4,
-            "--rank", "2", "--output", threaded,
-        )
-        assert code == 0
-        assert base.read_bytes() == threaded.read_bytes()
-
-    @pytest.mark.parametrize("value", ["two", "-1"])
-    def test_bad_threads_env_exit_2_without_output(
-        self, tmp_path, ppm_path, capsys, monkeypatch, value
-    ):
+        assert run(capsys, "compress", "--input", ppm_path, *shape, "--output", base)[0] == 0
         monkeypatch.setenv("STPZ_THREADS", value)
-        packed = tmp_path / "x.stpz"
-        code = main([
-            "compress", "--input", str(ppm_path), "--m2", "4", "--n2", "4",
-            "--rank", "2", "--output", str(packed),
-        ])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and not packed.exists()
-        assert captured.err.startswith("error: STPZ_THREADS must be") and value in captured.err
-        assert captured.err.count("\n") == 1
+        other = tmp_path / "y.stpz"
+        assert run(capsys, "compress", "--input", ppm_path, *shape, "--output", other)[0] == 0
+        assert base.read_bytes() == other.read_bytes()
 
-    def test_threads_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("STPZ_THREADS", raising=False)
-        assert _threads(3) == 1
-        monkeypatch.setenv("STPZ_THREADS", "0")
-        assert _threads(3) == max(1, min(os.cpu_count() or 1, 3))
+    def test_slices_are_factored_on_the_calling_thread(
+        self, tmp_path, ppm_path, capsys, monkeypatch
+    ):
+        idents, factor = [], decomp.mat_stp_svd_trunc
+
+        def record(*args, **kwargs):
+            idents.append(threading.get_ident())
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(decomp, "mat_stp_svd_trunc", record)
         monkeypatch.setenv("STPZ_THREADS", "2")
-        assert _threads(3) == 2 and _threads(1) == 1
-
-    def test_default_compress_starts_no_pool(self, tmp_path, ppm_path, capsys, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("slice pool started")
-
-        monkeypatch.delenv("STPZ_THREADS", raising=False)
-        monkeypatch.setattr(decomp, "ThreadPoolExecutor", no_pool)
+        shape = ("--m2", 4, "--n2", 4, "--rank", "2")
         code, _ = run(
-            capsys, "compress", "--input", ppm_path, "--m2", 4, "--n2", 4,
-            "--rank", "2", "--output", tmp_path / "x.stpz",
+            capsys, "compress", "--input", ppm_path, *shape, "--output", tmp_path / "x.stpz"
         )
         assert code == 0
+        code, _ = run(capsys, "bench", "--input", ppm_path, "--method", "stpsvd", *shape)
+        assert code == 0
+        assert idents == [threading.get_ident()] * 6
 
 
 class TestExitCodes:
@@ -436,6 +417,23 @@ class TestBenchInfo:
         assert info["storage_count"] == storage_count(
             Method.TRUNC_STPSVD, 6, 4, 6, 4, 3, [1, 2, 3]
         )
+
+    @pytest.mark.parametrize(
+        "channels, rank", [(3, "2"), (3, "1,3,2"), (1, "2"), (1, "full")]
+    )
+    def test_compress_reports_what_info_reads(self, tmp_path, capsys, channels, rank):
+        rng = np.random.default_rng(channels)
+        src, packed = tmp_path / "in.ppm", tmp_path / "o.stpz"
+        src.write_bytes(save_ppm(ImageBuffer(textured_samples(rng, 24, 16, channels))))
+        code, report = run(
+            capsys, "compress", "--input", src, "--m2", 4, "--n2", 4,
+            "--rank", rank, "--output", packed,
+        )
+        assert code == 0 and list(report) == ["storage_count", "cr", "wall_time_seconds"]
+        code, info = run(capsys, "info", "--input", packed)
+        assert code == 0
+        assert report["storage_count"] == info["storage_count"]
+        assert report["cr"] == info["cr"]
 
 
 class TestProgram:
