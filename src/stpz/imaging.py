@@ -98,12 +98,11 @@ def load_ppm(data: bytes) -> ImageBuffer:
         raise FormatError(f"bad magic {magic!r}, expected P5 or P6", 0)
     fields = []
     for name in ("width", "height", "maxval"):
-        at = pos
         tok, pos = _next_token(data, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise FormatError(f"non-numeric {name} field {tok!r}", at) from None
+        # ASCII decimal digits only: int() would also take a sign or "_".
+        if not tok.isdigit():
+            raise FormatError(f"non-numeric {name} field {tok!r}", pos - len(tok))
+        fields.append(int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise FormatError(f"non-positive image size {width}x{height}", 0)

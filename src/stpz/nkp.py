@@ -5,18 +5,17 @@
 Kronecker structure of the input; ``rearrange_slices`` does the same for
 every frontal slice of a third-order array at once, in its own dtype.
 ``nkp`` takes the leading singular triplet of the rearrangement
-to produce the Frobenius-optimal factor pair (B, C) with A ≈ B ⊗ C.  The
-triplet comes from the Lanczos solver :func:`~stpz.svd.leading_triplet`.
-The dense :func:`~stpz.svd.svd` is used instead for small rearrangements,
-where it is faster.  When Lanczos does not converge, the triplet comes from
-:func:`~stpz.svd.svds` at r = 1, which takes it from the short-side Gram
-matrix.  Lanczos converges within its budget when the relative gap
-sigma_2/sigma_1 of the rearrangement is below about 0.9; a flat leading
-spectrum, as in noise-dominated input, spends the budget before the Gram
-fallback.
+to produce the factor pair (B, C) with A ≈ B ⊗ C.  Each call runs one
+solver: the dense :func:`~stpz.svd.svd` for small rearrangements, where it
+is faster, and the Lanczos solver :func:`~stpz.svd.leading_triplet` for
+every larger one.  Lanczos converges within its budget when the ratio
+sigma_2/sigma_1 of the rearrangement is below about 0.9, and the pair is
+then Frobenius-optimal.  On a flatter leading spectrum, as in
+noise-dominated input, the budget runs out first, and the pair comes from
+the Ritz triplet it reached.
 
 The residual ||A - B ⊗ C||_F of the returned pair is
-sqrt(||R||_F^2 - sigma_1^2) on all three paths, read from R in one pass
+sqrt(||R||_F^2 - sigma^2) on both paths, read from R in one pass
 with no temporary.  Where that tail is not well above roundoff (near exact
 Kronecker structure), it is taken directly from R - vec(B) vec(C)^T
 instead.  R follows the input rule of :mod:`stpz.svd`, and its dtype rule:
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .svd import _as_matrix, _leading_triplet, _scale, svd, svds
+from .svd import _as_matrix, _leading_triplet, _scale, svd
 
 __all__ = ["KronFactors", "rearrange", "rearrange_slices", "nkp"]
 
@@ -46,7 +45,7 @@ _DENSE_WORK = 1 << 16
 # about c * eps * ||R||^2, so the relative error of e1 is about
 # c * eps / (2 * tail ratio): at most c * 1.1e-11 here, which leaves room
 # for c up to about 90 within a relative 1e-9.  Measured c was at most 7 on
-# all three triplet paths (rank-1 plus noise, 16 x 16 to 4096 x 64, tail
+# both triplet paths (rank-1 plus noise, 16 x 16 to 4096 x 64, tail
 # ratios 1e-6 to 1e-10).  Below it the residual is taken directly, at the
 # cost of a temporary the size of R.
 _TAIL_MIN = 1e-5
@@ -54,13 +53,15 @@ _TAIL_MIN = 1e-5
 
 @dataclass
 class KronFactors:
-    """Optimal Kronecker pair: B is m1 x n1, C is m2 x n2.
+    """Kronecker pair: B is m1 x n1, C is m2 x n2.
 
-    ``residual`` is ||A - B ⊗ C||_F for the returned factors: the root of
-    ||A||_F^2 - s1^2, the tail energy of the rearranged matrix's singular
-    values, or the norm of the difference itself where that tail is too
-    small for the subtraction, at most ``_TAIL_MIN`` of ||A||_F^2, under
-    the input rule of :mod:`stpz.svd`.
+    The pair is the optimal one unless the Lanczos solver reached its step
+    budget (see :func:`nkp`).  ``residual`` is ||A - B ⊗ C||_F for the
+    returned factors: the root of ||A||_F^2 - s1^2, with s1 the triplet's
+    singular value (the tail energy of the rearranged matrix's singular
+    values when the pair is optimal), or the norm of the difference itself
+    where that tail is too small for the subtraction, at most
+    ``_TAIL_MIN`` of ||A||_F^2, under the input rule of :mod:`stpz.svd`.
     """
 
     B: np.ndarray
@@ -116,20 +117,18 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     vec(B) and vec(C) are sqrt(s1) times the leading left/right singular
     vectors of the rearrangement (column-major vec).  A zero input returns
     zero factors.  On the Lanczos path the pair is optimal unless the
-    input is built so that v1 is orthogonal to the solver's fixed start
-    (see :func:`~stpz.svd.leading_triplet`).  On the Gram fallback, B ⊗ C
-    is the orthogonal projection of the rearrangement R onto its top Gram
-    eigenvector q (R q q^H for a tall R, q q^H R for a wide one), whose
-    angle to the leading singular vector is about
-    eps * s1^2 / (s1^2 - s2^2) (see :func:`~stpz.svd.svds`).
+    input is built so that v1 is orthogonal to the solver's fixed start,
+    or the solver reaches its step budget, as on a flat leading spectrum
+    (see :func:`~stpz.svd.leading_triplet`).  At the budget, s1 is the
+    largest Ritz value, at most the leading singular value, and the
+    residual is correspondingly at least the optimal one.
 
-    ``residual`` is the norm of A - B ⊗ C for the returned pair on every
-    path, taken as sqrt(||R||_F^2 - s1^2) with no temporary: the dense SVD
-    leaves the tail of its singular values, a Lanczos Ritz triplet has
-    u^H R v = s1, and the Gram fallback's rank-1 term is an orthogonal
-    projection of R.  Where that difference is at most ``_TAIL_MIN``
-    times ||R||_F^2, so that it would cancel, the residual is the norm of
-    R - vec(B) vec(C)^T, taken directly.
+    ``residual`` is the norm of A - B ⊗ C for the returned pair on both
+    paths, taken as sqrt(||R||_F^2 - s1^2) with no temporary: the dense SVD
+    leaves the tail of its singular values, and a Lanczos Ritz triplet,
+    converged or not, has u^H R v = s1.  Where that difference is at most
+    ``_TAIL_MIN`` times ||R||_F^2, so that it would cancel, the residual is
+    the norm of R - vec(B) vec(C)^T, taken directly.
 
     R follows the input rule of :mod:`stpz.svd`: out of range, the factors
     of R s^2 are returned as B / s, C / s and residual / s^2.
@@ -153,8 +152,6 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     if s != 1.0:
         R = R * s * s
     f = svd(R) if R.size * min(R.shape) <= _DENSE_WORK else _leading_triplet(R)
-    if f is None:
-        f = svds(R, 1)
     s1 = np.sqrt(f.sigma[0])
     B = (s1 * f.U[:, 0]).reshape((m1, n1), order="F")
     # The rank-1 term of R is sigma_1 u1 v1^H while the Kronecker identity

@@ -11,7 +11,8 @@ which the rotation is a sign.
 ``svds`` gives the leading r triplets: the dense SVD's prefix for
 r > min(m, n) / 2, and otherwise the Rayleigh–Ritz triplets of the top r
 eigenvectors of the short-side Gram matrix.  ``leading_triplet`` is
-a Lanczos solver for the first triplet alone.  All three follow the phase
+a Lanczos solver for the first triplet alone, which returns its Ritz
+triplet when its step budget runs out.  All three follow the phase
 convention.
 
 One input rule guards the solvers that square entries (``leading_triplet``,
@@ -122,9 +123,9 @@ def svd(A) -> SvdResult:
     return SvdResult(U=U, sigma=s, V=V)
 
 
-def leading_triplet(A) -> SvdResult | None:
-    """Leading singular triplet of a matrix, or None when the Lanczos
-    process does not converge within its step budget.
+def leading_triplet(A) -> SvdResult:
+    """Leading singular triplet of a matrix, or its Ritz approximation
+    when the Lanczos process does not converge within its step budget.
 
     Golub–Kahan–Lanczos bidiagonalization (Golub & Kahan 1965) with full
     reorthogonalization, started from A w for a fixed pseudo-random w, so
@@ -132,12 +133,20 @@ def leading_triplet(A) -> SvdResult | None:
     A^H U_k = V_k L_k^H and A V_k = U_k L_k + beta u_{k+1} e_k^T with L_k
     real lower bidiagonal, so the Ritz triplet (sigma, U_k p, V_k q) from
     the leading SVD of L_k has residual ||A v - sigma u|| = |beta q_k|.
-    The process stops when that is at most ``_GKL_TOL * sigma``.  A
-    rank-deficient input (for example the rearrangement of an exact
-    Kronecker product, of rank 1) breaks down with beta = 0, which is such
-    a stop.  A zero input gives (0, e_1, e_1) as :func:`svd` does.  The
-    result has one column and follows :func:`svd`'s phase convention, and
-    is real, from a real Lanczos basis, for real input.
+    The process stops when that is at most ``_GKL_TOL * sigma``, or after
+    ``_GKL_STEPS`` steps.  A rank-deficient input (for example the
+    rearrangement of an exact Kronecker product, of rank 1) breaks down
+    with beta = 0, which is such a stop.  A zero input gives (0, e_1, e_1)
+    as :func:`svd` does.  A nonzero input with A w = 0 starts once more,
+    from its column of largest norm.  The result has one column and
+    follows :func:`svd`'s phase convention, and is real, from a real
+    Lanczos basis, for real input.
+
+    A Ritz triplet is exact for its own projection whether or not it has
+    converged: u^H A v = sigma, so ||A - sigma u v^H||_F^2 =
+    ||A||_F^2 - sigma^2, and sigma <= sigma_1.  At the budget, as on a
+    flat leading spectrum, sigma and that residual approach the optimum
+    from their own sides, and u, v are not yet the leading vectors.
 
     The stopping test certifies a singular triplet, not the leading one.
     Like any Krylov method from one start vector, the process finds
@@ -149,12 +158,11 @@ def leading_triplet(A) -> SvdResult | None:
     A = _as_matrix(A, "leading_triplet")
     scale, _ = _scale(A, "leading_triplet")
     f = _leading_triplet(A if scale == 1.0 else A * scale * scale)
-    if f is not None:
-        f.sigma = f.sigma / scale / scale
+    f.sigma = f.sigma / scale / scale
     return f
 
 
-def _leading_triplet(A: np.ndarray) -> SvdResult | None:
+def _leading_triplet(A: np.ndarray) -> SvdResult:
     # leading_triplet of a nonempty float64 or complex128 A already within
     # the input rule's range, for a caller that has checked the scale itself.
     m, n = A.shape
@@ -167,10 +175,14 @@ def _leading_triplet(A: np.ndarray) -> SvdResult | None:
     u = A @ np.random.default_rng(0).standard_normal(n)
     beta[0] = np.linalg.norm(u)
     if beta[0] == 0.0:
-        if A.any():
-            return None
-        U, V = np.eye(m, 1, dtype=A.dtype), np.eye(n, 1, dtype=A.dtype)
-        return SvdResult(U=U, sigma=np.zeros(1), V=V)
+        if not A.any():
+            U, V = np.eye(m, 1, dtype=A.dtype), np.eye(n, 1, dtype=A.dtype)
+            return SvdResult(U=U, sigma=np.zeros(1), V=V)
+        # A w = 0: start from A e_j for the column j of largest norm, which
+        # is nonzero and, within the input rule's range, has a norm that
+        # does not underflow.
+        u = A[:, np.argmax(np.linalg.norm(A, axis=0))]
+        beta[0] = np.linalg.norm(u)
     Ub[0] = u / beta[0]
     for k in range(steps):
         # v_k = A^H u_k - beta_k v_{k-1}, computed as conj(u_k^H A)
@@ -186,12 +198,13 @@ def _leading_triplet(A: np.ndarray) -> SvdResult | None:
         L = np.diag(alpha[: k + 1]) + np.diag(beta[1 : k + 1], -1)
         P, s, Qh = np.linalg.svd(L)
         if beta[k + 1] * abs(Qh[0, k]) <= _GKL_TOL * s[0]:
-            U = (P[:, 0] @ Ub[: k + 1])[:, None]
-            V = (Qh[0] @ Vb[: k + 1])[:, None]
-            _fix_phases(U, V)
-            return SvdResult(U=U, sigma=s[:1], V=V)
+            break
         Ub[k + 1] = u / beta[k + 1]
-    return None
+    # The Ritz triplet of the last L_k, converged or at the budget.
+    U = (P[:, 0] @ Ub[: k + 1])[:, None]
+    V = (Qh[0] @ Vb[: k + 1])[:, None]
+    _fix_phases(U, V)
+    return SvdResult(U=U, sigma=s[:1], V=V)
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:

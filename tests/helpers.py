@@ -10,11 +10,12 @@ def cplx(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def with_spectrum(rng, m, n, sigma):
-    """m x n complex matrix with the given singular values and random
-    singular vectors."""
-    U, _ = np.linalg.qr(cplx(rng, m, len(sigma)))
-    V, _ = np.linalg.qr(cplx(rng, n, len(sigma)))
+def with_spectrum(rng, m, n, sigma, real=False):
+    """m x n complex (or real) matrix with the given singular values and
+    random singular vectors."""
+    draw = rng.normal if real else (lambda size: cplx(rng, *size))
+    U, _ = np.linalg.qr(draw(size=(m, len(sigma))))
+    V, _ = np.linalg.qr(draw(size=(n, len(sigma))))
     return (U * sigma) @ V.conj().T
 
 

@@ -128,6 +128,17 @@ class TestPpm:
         with pytest.raises(FormatError):
             load_ppm(b"P6\nx 1\n255\n\x00\x00\x00")
 
+    @pytest.mark.parametrize(
+        "header, field, offset",
+        [(b"P6\n+2 10\n255\n", "width", 3), (b"P6\n2 1_0\n255\n", "height", 5)],
+        ids=["sign", "underscore"],
+    )
+    def test_header_numbers_are_plain_digits(self, header, field, offset):
+        # int() reads "+2" as 2 and "1_0" as 10; the header takes digits only.
+        with pytest.raises(FormatError, match=f"non-numeric {field} field") as exc:
+            load_ppm(header + bytes(60))
+        assert exc.value.offset == offset
+
     def test_non_positive_size(self):
         with pytest.raises(FormatError, match="non-positive image size 0x1") as exc:
             load_ppm(b"P6\n0 1\n255\n")

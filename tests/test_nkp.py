@@ -5,7 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
+from numpy.testing import assert_allclose
 
 from helpers import cplx, rel_err, same_bytes, scaled_norm, with_spectrum
 from stpz.decomp import error_bound_matrix, mat_stp_svd_trunc, reconstruct
@@ -35,18 +36,28 @@ def dense_kron(A, m2, n2):
     return f.sigma[0] * np.outer(f.U[:, 0], f.V[:, 0].conj()), np.linalg.norm(f.sigma[1:])
 
 
+# Relative agreement of the factors of two runs on one input, by path.  At
+# the budget the Ritz vectors are not yet the leading ones (the pair of
+# scale_case("budget") is 2e-5 from the dense optimum), and a rounding-level
+# change of the input moves them by more than eps: measured 3e-9 under
+# scaling and 1.2e-7 in real arithmetic.  The residual is stationary and
+# agrees to 1e-12 on every path.
+FACTOR_TOL = {"dense": 1e-12, "lanczos": 1e-12, "budget": 1e-5}
+
+
 def scale_case(path):
-    """An input whose triplet comes from one path, with m2 and the solvers
-    nkp calls for it: the dense SVD (16 x 16 rearrangement), Lanczos (64 x
-    64, Kronecker plus noise) and the Gram fallback (a 512 x 64 noise
-    rearrangement, whose flat spectrum outlasts the Lanczos budget)."""
+    """An input whose triplet comes from one path, with m2 and the solver
+    nkp calls for it: the dense SVD (16 x 16 rearrangement), Lanczos to
+    convergence (64 x 64, Kronecker plus noise) and Lanczos to its step
+    budget (a 512 x 64 noise rearrangement, whose flat spectrum outlasts
+    it)."""
     rng = np.random.default_rng(40)
     if path == "dense":
         return np.kron(cplx(rng, 4, 4), cplx(rng, 4, 4)) + 0.1 * cplx(rng, 16, 16), 4, ["svd"]
     if path == "lanczos":
         A = np.kron(cplx(rng, 8, 8), cplx(rng, 8, 8)) + 0.1 * cplx(rng, 64, 64)
         return A, 8, ["_leading_triplet"]
-    return cplx(rng, 512, 64), 8, ["_leading_triplet", "svds"]
+    return cplx(rng, 512, 64), 8, ["_leading_triplet"]
 
 
 class CountingSvd:
@@ -93,6 +104,10 @@ class TestRearrange:
     def test_divisibility_error(self):
         with pytest.raises(DimensionError, match=r"^m2 = 4 does not divide height 6; .* \[1, 2, 3, 6\]$"):
             rearrange(np.zeros((6, 6)), 4, 2)
+
+    def test_non_matrix_is_a_dimension_error(self):
+        with pytest.raises(DimensionError, match="rearrange expects a matrix"):
+            rearrange(np.ones(4), 2, 2)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("blocks", [(3, 4), (3, 1), (1, 4), (1, 1)])
@@ -224,16 +239,18 @@ class TestNkp:
         n2=st.integers(1, 8),
         spike=st.sampled_from([0.0, 1.0, 4.0]),
         noise=st.sampled_from([1.0, 1e-2, 1e-3]),
-        path=st.sampled_from(["dense", "lanczos", "gram"]),
+        path=st.sampled_from(["dense", "lanczos"]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # A 64 x 36 noise rearrangement that ends at the Lanczos budget.
+    @example(m1=8, m2=6, n1=8, n2=6, spike=0.0, noise=1.0, path="lanczos", seed=1)
     @settings(deadline=None, max_examples=80)
     def test_matches_dense_path(self, m1, m2, n1, n2, spike, noise, path, seed):
-        # Each path is forced: "lanczos" sends every size to the Lanczos
-        # solver (which may still fall back), "gram" sends every size to the
-        # fallback.  With a spike, the noise levels put the tail ratio
-        # (||R||^2 - s1^2) / ||R||^2 on both sides of _TAIL_MIN: about 5e-5
-        # at spike 1 and noise 1e-2, and below 1e-5 at noise 1e-3.
+        # Each path is forced: "dense" sends every size to the dense SVD,
+        # "lanczos" every size to the Lanczos solver.  With a spike, the
+        # noise levels put the tail ratio (||R||^2 - s1^2) / ||R||^2 on both
+        # sides of _TAIL_MIN: about 5e-5 at spike 1 and noise 1e-2, and
+        # below 1e-5 at noise 1e-3.
         rng = np.random.default_rng(seed)
         A = noise * cplx(rng, m1 * m2, n1 * n2)
         A = A + spike * np.kron(cplx(rng, m1, n1), cplx(rng, m2, n2))
@@ -241,18 +258,24 @@ class TestNkp:
         s = np.linalg.svd(rearrange(A, m2, n2), compute_uv=False)
         norm2 = np.sum(s**2)
         side = "above" if tail**2 > nkp_module._TAIL_MIN * norm2 else "below"
-        event(f"{path}, tail ratio {side} _TAIL_MIN")
         with mock.patch.object(nkp_module, "_DENSE_WORK", 1 << 62 if path == "dense" else 0):
-            if path == "gram":
-                with mock.patch.object(nkp_module, "_leading_triplet", lambda R: None):
-                    f = nkp(A, m2, n2)
-            else:
-                f = nkp(A, m2, n2)
-        gap = 1.0 if s.size == 1 else (s[0] - s[1]) / s[0]
-        got = np.outer(vec(f.B), vec(f.C))
-        assert rel_err(got, ref) <= 1e-10 / max(gap, 1e-6)
+            f = nkp(A, m2, n2)
+        # The pair's triplet is (|b| |c|, b / |b|, conj(c) / |c|); the budget
+        # ended the run when it is not converged to the solver's tolerance.
+        b, c = vec(f.B), vec(f.C)
+        cc = np.vdot(c, c).real
+        resid = np.linalg.norm(rearrange(A, m2, n2) @ c.conj() - cc * b)
+        budget = resid > 2 * svd_module._GKL_TOL * cc * np.linalg.norm(b)
+        event(f"{path}, tail ratio {side} _TAIL_MIN" + (", budget" if budget else ""))
         scale = np.linalg.norm(A)
-        assert f.residual == pytest.approx(tail, rel=1e-9, abs=1e-12 * scale)
+        if budget:
+            # e1 of a Ritz triplet short of convergence is above the optimum
+            # (by at most 3.5e-14 relative at these sizes, measured).
+            assert tail * (1 - 1e-12) <= f.residual <= tail * (1 + 1e-5)
+        else:
+            gap = 1.0 if s.size == 1 else (s[0] - s[1]) / s[0]
+            assert rel_err(np.outer(b, c), ref) <= 1e-10 / max(gap, 1e-6)
+            assert f.residual == pytest.approx(tail, rel=1e-9, abs=1e-12 * scale)
         direct = np.linalg.norm(A - np.kron(f.B, f.C))
         assert f.residual == pytest.approx(direct, rel=1e-9, abs=1e-12 * scale)
 
@@ -296,16 +319,17 @@ class TestNkp:
         assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-10
         assert f.residual == pytest.approx(tail, rel=1e-9)
 
-    def test_flat_spectrum_falls_back_to_gram(self, monkeypatch):
+    def test_flat_spectrum_keeps_the_budget_triplet(self, monkeypatch):
         # A rearrangement with relative gaps of 0.2% outlasts the Lanczos
-        # budget; nkp then takes the triplet from ``svds`` at r = 1, which
-        # takes the Gram side at this size, and never calls the dense svd.
+        # budget; nkp keeps the Ritz triplet it reached and calls no other
+        # solver.  Its e1 is within a relative 1e-5 above the optimum, and
+        # is the norm of A - B ⊗ C all the same.
         spy = CountingSvd()
         monkeypatch.setattr(nkp_module, "svd", spy)
-        ranks = []
-        real_svds = nkp_module.svds
+        shapes = []
+        real_triplet = nkp_module._leading_triplet
         monkeypatch.setattr(
-            nkp_module, "svds", lambda M, r: ranks.append((M.shape, r)) or real_svds(M, r)
+            nkp_module, "_leading_triplet", lambda R: shapes.append(R.shape) or real_triplet(R)
         )
         rng = np.random.default_rng(12)
         k = 8
@@ -315,16 +339,16 @@ class TestNkp:
         A = unrearrange(R, k, k, k, k)
         f = nkp(A, k, k)
         assert spy.calls == 0
-        assert ranks == [((k * k, k * k), 1)]
-        ref, tail = dense_kron(A, k, k)
-        assert rel_err(np.outer(vec(f.B), vec(f.C)), ref) <= 1e-12
-        assert f.residual == pytest.approx(tail, rel=1e-12)
+        assert shapes == [(k * k, k * k)]
+        _, tail = dense_kron(A, k, k)
+        assert tail * (1 - 1e-12) <= f.residual <= tail * (1 + 1e-5)
+        assert f.residual == pytest.approx(np.linalg.norm(A - np.kron(f.B, f.C)), rel=1e-9)
 
-    def test_start_vector_in_the_null_space_falls_back(self):
+    def test_start_vector_in_the_null_space_restarts(self):
         # R = x v^H with v orthogonal to the solver's start w, and x and v
-        # built so that R w is exactly zero: Lanczos gives up at once, and
-        # the triplet comes from the Gram fallback, in R's own arithmetic
-        # (complex, then real).
+        # built so that R w is exactly zero: Lanczos starts again from R's
+        # largest column, in R's own arithmetic (complex, then real), and
+        # finds the exact triplet.
         n = 64
         w = np.random.default_rng(0).standard_normal(n)
         v = np.zeros(n)
@@ -333,7 +357,11 @@ class TestNkp:
             x = np.resize([1.0, -2.0, third, 4.0], n)
             R = np.outer(x, v)
             assert R.any() and not (R @ w).any()
-            assert leading_triplet(R) is None
+            f, d = leading_triplet(R), svd(R)
+            assert f.U.dtype == f.V.dtype == R.dtype
+            assert f.sigma[0] == pytest.approx(d.sigma[0], rel=1e-12)
+            assert_allclose(f.U[:, 0], d.U[:, 0], rtol=0, atol=1e-12)
+            assert_allclose(f.V[:, 0], d.V[:, 0], rtol=0, atol=1e-12)
             A = unrearrange(R, 8, 8, 8, 8)
             f = nkp(A, 8, 8)
             assert f.B.dtype == f.C.dtype == R.dtype
@@ -350,12 +378,12 @@ class TestScale:
         [2.0**-540, 1e-165, 1e-160, 1e160, 1e200, 2.0**530],
         ids=["2^-540", "1e-165", "1e-160", "1e160", "1e200", "2^530"],
     )
-    @pytest.mark.parametrize("path", ["dense", "lanczos", "gram"])
+    @pytest.mark.parametrize("path", ["dense", "lanczos", "budget"])
     def test_factors_scale_with_the_input(self, monkeypatch, path, c):
         A, m2, solvers = scale_case(path)
         f = nkp(A, m2, m2)
         calls = []
-        for name in ("svd", "_leading_triplet", "svds"):
+        for name in ("svd", "_leading_triplet"):
             real = getattr(nkp_module, name)
             monkeypatch.setattr(
                 nkp_module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
@@ -368,7 +396,7 @@ class TestScale:
             err = scaled_norm(c * A - reconstruct(mat_stp_svd_trunc(c * A, m2, m2, 2)))
         assert fc.residual == pytest.approx(c * f.residual, rel=1e-12)
         want = c * np.kron(f.B, f.C)
-        assert scaled_norm(np.kron(fc.B, fc.C) - want) <= 1e-12 * scaled_norm(want)
+        assert scaled_norm(np.kron(fc.B, fc.C) - want) <= FACTOR_TOL[path] * scaled_norm(want)
         assert e1 == fc.residual and e2 > 0.0
         assert bound >= err
 
@@ -390,7 +418,7 @@ class TestScale:
         assert got.residual == want.residual
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-    @pytest.mark.parametrize("path", ["dense", "lanczos", "gram"])
+    @pytest.mark.parametrize("path", ["dense", "lanczos", "budget"])
     def test_non_finite_entry_is_a_numeric_error(self, path, bad):
         A, m2, _ = scale_case(path)
         A[5, 3] = bad
@@ -401,7 +429,7 @@ class TestScale:
 class TestRealInput:
     """Real input is factored in real arithmetic into real factors."""
 
-    @pytest.mark.parametrize("path", ["dense", "lanczos", "gram"])
+    @pytest.mark.parametrize("path", ["dense", "lanczos", "budget"])
     @pytest.mark.parametrize("blocks", [False, True], ids=["matrix", "blocks"])
     def test_real_factors_match_the_complex_route(self, monkeypatch, path, blocks):
         A, m2, solvers = scale_case(path)
@@ -415,7 +443,7 @@ class TestRealInput:
 
         want = run(A.astype(np.complex128))
         calls = []
-        for name in ("svd", "_leading_triplet", "svds"):
+        for name in ("svd", "_leading_triplet"):
             real = getattr(nkp_module, name)
             monkeypatch.setattr(
                 nkp_module, name, lambda *a, real=real: calls.append(a[0].dtype) or real(*a)
@@ -424,7 +452,7 @@ class TestRealInput:
         assert calls == [np.float64] * len(solvers)
         assert got.B.dtype == got.C.dtype == np.float64
         kron, ref = np.kron(got.B, got.C), np.kron(want.B, want.C)
-        assert np.linalg.norm(kron - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.linalg.norm(kron - ref) <= FACTOR_TOL[path] * np.linalg.norm(ref)
         assert got.residual == pytest.approx(want.residual, rel=1e-12)
 
     def test_dtype_rule(self):
