@@ -81,6 +81,14 @@ def _split(rows: int, cols: int, m2: int, n2: int) -> tuple[int, int]:
     return rows // m2, cols // n2
 
 
+def _block_view(A: np.ndarray, m2: int, n2: int) -> np.ndarray:
+    # The (l, n1, m1, n2, m2) view of an (m1*m2) x (n1*n2) x l array whose
+    # entry [k, j, i, d, c] is A[i*m2 + c, j*n2 + d, k]: read in C order, its
+    # slice k is the rearrangement of A[:, :, k], entry (j*m1 + i, d*m2 + c).
+    m, n, l = A.shape
+    return A.reshape(m // m2, m2, n // n2, n2, l).transpose(4, 2, 0, 3, 1)
+
+
 def rearrange_slices(A, m2: int, n2: int) -> np.ndarray:
     """Rearrangement of every frontal slice of an (m1*m2) x (n1*n2) x l array.
 
@@ -96,7 +104,7 @@ def rearrange_slices(A, m2: int, n2: int) -> np.ndarray:
         raise DimensionError("rearrange_slices expects a third-order array")
     m, n, l = A.shape
     m1, n1 = _split(m, n, m2, n2)
-    S = A.reshape(m1, m2, n1, n2, l).transpose(4, 2, 0, 3, 1).reshape(l, m1 * n1, m2 * n2)
+    S = _block_view(A, m2, n2).reshape(l, m1 * n1, m2 * n2)
     # The reshape copies unless the blocks already line up (for example a
     # Fortran-ordered matrix with m1 = n1 = 1).
     return S.copy() if np.may_share_memory(S, A) else S

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from stpz.decomp import (
 )
 from stpz.errors import DimensionError
 from stpz.imaging import tensor_to_image
-from stpz.nkp import nkp, rearrange, rearrange_slices
+from stpz.nkp import nkp, rearrange
 from stpz.svd import SvdResult, svd
 from stpz.tensor import (
     dft3,
@@ -277,9 +278,8 @@ class TestTensorStpSvdTrunc:
             tensor_stp_svd_trunc(A, 2, 2, [1, 2])
         with pytest.raises(DimensionError):
             tensor_stp_svd_trunc(A, 2, 2, [1, 2, 3])
-        # A bad rank is rejected before the rearrangement and DFT of A.
+        # A bad rank is rejected before the rearranged DFT of A.
         monkeypatch.setattr(decomp_module, "_stack_dft", None)
-        monkeypatch.setattr(decomp_module, "rearrange_slices", None)
         with pytest.raises(DimensionError, match="entry 0 out of range"):
             tensor_stp_svd_trunc(A, 2, 2, [0, 1, 1])
 
@@ -605,8 +605,8 @@ class TestErrorTerms:
 
 
 class TestFourierFrontEnd:
-    """The STP routes' front end (rearrange once in the input's dtype, then
-    the DFT along the stack) against the reference dft3 and rearrange."""
+    """The STP routes' front end (the rearranged DFT along the stack, in one
+    pass) against the reference dft3 and rearrange."""
 
     @given(
         l=st.integers(1, 6),
@@ -633,21 +633,80 @@ class TestFourierFrontEnd:
             A = rng.choice(np.array([0.0, -0.0, 1.5, -2.25, np.pi]), size=shape).astype(dtype)
         else:
             A = rng.normal(size=shape) + 1j * rng.choice(np.array([0.0, -0.0, 1.0]), size=shape)
-        F = tensor_stp_svd_trunc(A, m2, n2, [1] * l)
+        # Each plane as the tensor route hands it to mat_stp_svd_trunc, copied
+        # before slice 2's is made from slice 1's in place.
+        planes = []
+        factor = decomp_module.mat_stp_svd_trunc
+
+        def spy(P, *args, **kwargs):
+            planes.append((P.copy(), P.flags.c_contiguous))
+            return factor(P, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decomp_module, "mat_stp_svd_trunc", spy)
+            F = tensor_stp_svd_trunc(A, m2, n2, [1] * l)
         assert F.dims == (m1, m2, n1, n2, l)
         assert F.real_input == bool(np.all(np.imag(A) == 0))
-        S = rearrange_slices(A, m2, n2)
-        Ah = decomp_module._stack_dft(S)
         ref = dft3(A)
-        assert len(Ah) == l
-        for i in range(l):
+        assert len(planes) == l
+        for i, (P, contiguous) in enumerate(planes):
             # A real stack's self-conjugate slices are float64 planes of
             # dft3's real part; every other plane has dft3's complex bytes.
             want = rearrange(ref[:, :, i], m2, n2)
-            real = S.dtype.kind != "c" and 2 * i % l == 0
-            assert Ah[i].shape == (m1 * n1, m2 * n2) and Ah[i].flags.c_contiguous
-            assert Ah[i].dtype == (np.float64 if real else np.complex128)
-            assert same_bytes(Ah[i], want.real if real else want)
+            real = F.real_input and 2 * i % l == 0
+            if F.real_input and l == 3 and i == 2 and A.dtype.kind != "u":
+                # Slice 2 of real RGB is slice 1's plane conjugated, so its
+                # real part has slice 1's +0.0 where dft3 writes c - 0.0 of
+                # a -0.0 sample as -0.0.  Integer samples give no -0.0.
+                np.add(want.real, 0.0, out=want.real)
+            assert P.shape == (m1 * n1, m2 * n2) and contiguous
+            assert P.dtype == (np.float64 if real else np.complex128)
+            assert same_bytes(P, want.real if real else want)
+
+    @given(
+        l=st.sampled_from([1, 3]),
+        m1=st.integers(1, 4),
+        m2=st.integers(1, 4),
+        n1=st.integers(1, 4),
+        n2=st.integers(1, 4),
+        ranks=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+        chunk=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(l=3, m1=3, m2=2, n1=4, n2=3, ranks=[3, 1, 2], chunk=5, seed=0)
+    @settings(deadline=None, max_examples=100)
+    def test_chunked_pass_gives_the_container_of_dft3(
+        self, l, m1, m2, n1, n2, ranks, chunk, seed
+    ):
+        # Chunks of a few entries cut through block columns and through the
+        # rows of one.  Slice 2 of RGB is factored from slice 1's plane,
+        # conjugated in place after slice 1 is factored, so slice 1's factors
+        # must not alias that plane, also when R[1] != R[2].
+        A = np.random.default_rng(seed).integers(0, 256, (m1 * m2, n1 * n2, l), dtype=np.uint8)
+        R = [min(r, m1, n1) for r in ranks[:l]]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decomp_module, "_CHUNK", chunk)
+            got = serialize(tensor_stp_svd_trunc(A, m2, n2, R))
+        Ah = dft3(A)
+        slices = []
+        for i in range(l):
+            P = rearrange(Ah[:, :, i], m2, n2)
+            P = np.ascontiguousarray(P.real) if i == 0 else P
+            slices.append(mat_stp_svd_trunc(P, m2, n2, R[i], blocks=(m1, n1)))
+        assert got == serialize(TensorStpSvd(slices=slices, real_input=True))
+
+    def test_rgb_encode_keeps_no_whole_stack_temporary(self):
+        # The half spectrum of a 512^2 RGB image is 6 MiB: slice 0 in
+        # float64, slice 1 in complex128.  Whole-stack float64 temporaries
+        # and a complex slice 2 took the peak to about 15 MiB.
+        A = textured_samples(np.random.default_rng(66), 512, 512, 3)
+        tracemalloc.start()
+        try:
+            tensor_stp_svd_trunc(A, 8, 8, [20] * 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("l", [1, 3])
     def test_samples_give_the_container_of_complex_input(self, l):
@@ -680,11 +739,14 @@ class TestFourierFrontEnd:
             A = rng.normal(size=(16, 16, l))
         else:
             A = cplx(rng, 16, 16, l)
-        planes = decomp_module._stack_dft(rearrange_slices(A, 4, 4))
+        planes = decomp_module._stack_dft(A, 4, 4)
         F = tensor_stp_svd_trunc(A, 4, 4, [2] * l)
         for i, s in enumerate(F.slices):
             want = np.float64 if i in real else np.complex128
-            assert planes[i].dtype == s.U.dtype == s.C.dtype == s.V.dtype == want
+            # Real RGB has no plane of slice 2: the tensor route makes it
+            # from slice 1's.
+            P = planes[i] if i < len(planes) else planes[l - i]
+            assert P.dtype == s.U.dtype == s.C.dtype == s.V.dtype == want
         assert F.real_input == (kind != "complex")
 
     @pytest.mark.parametrize(
@@ -698,7 +760,7 @@ class TestFourierFrontEnd:
         nkp_module = importlib.import_module("stpz.nkp")
         A = textured_samples(np.random.default_rng(65), size, size, 3)
         m1 = size // 8
-        plane = decomp_module._stack_dft(rearrange_slices(A, 8, 8))[0]
+        plane = decomp_module._stack_dft(A, 8, 8)[0]
         want = mat_stp_svd_trunc(plane.astype(np.complex128), 8, 8, 4, blocks=(m1, m1))
         calls = []
         real = getattr(nkp_module, solver)
@@ -739,9 +801,9 @@ class TestFourierFrontEnd:
         seen = []
         stack_dft = decomp_module._stack_dft
 
-        def spy(S):
-            seen.append(S.dtype)
-            return stack_dft(S)
+        def spy(A, m2, n2):
+            seen.append(A.dtype)
+            return stack_dft(A, m2, n2)
 
         monkeypatch.setattr(decomp_module, "_stack_dft", spy)
         rng = np.random.default_rng(63)
