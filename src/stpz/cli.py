@@ -7,7 +7,10 @@ tsvd``).  Keep r2 == r3 for an RGB image: its second and third Fourier
 slices are a conjugate pair, and uneven ranks leave an imaginary part that
 ``decompress`` drops with a warning.
 
-JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
+JSON results go to stdout, one strict (RFC 8259) document per command, in
+which a non-finite number prints as a string: "inf" (as the PSNR of two
+equal images, or the relative error against an all-black reference),
+"-inf" or "nan".  Diagnostics go to stderr.  Exit codes: 0 success,
 2 dimension/validation error, 3 I/O error, 4 malformed file or numerical
 failure (including a container whose reconstruction overflows), 5 out of
 memory; each prints one ``error:`` line on stderr.  Any other exception is a
@@ -62,7 +65,7 @@ class BenchReport:
     cr: Fraction
 
     def to_json(self) -> dict:
-        return {**asdict(self), "psnr_db": _psnr_field(self.psnr_db), "cr": _cr_str(self.cr)}
+        return _finite({**asdict(self), "cr": _cr_str(self.cr)})
 
 
 def _threads(slices: int) -> int:
@@ -85,11 +88,18 @@ def _parse_rank(spec: str, slices: int, rmax: int) -> list[int]:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj))
+    # allow_nan=False: a non-finite float that reaches json is an error, not
+    # an Infinity or NaN token, which RFC 8259 does not allow.
+    print(json.dumps(_finite(obj), allow_nan=False))
 
 
-def _psnr_field(value: float):
-    return "inf" if math.isinf(value) else value
+def _finite(fields: dict) -> dict:
+    # The one JSON rule for a non-finite float field: its str, "inf", "-inf"
+    # or "nan".  No nested field is a float.
+    return {
+        k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in fields.items()
+    }
 
 
 def _cr_str(cr: Fraction) -> str:
@@ -136,7 +146,7 @@ def cmd_metrics(args) -> int:
     test = load_ppm(Path(args.test).read_bytes())
     _emit(
         {
-            "psnr": _psnr_field(psnr(ref, test)),
+            "psnr": psnr(ref, test),
             "ssim": ssim(ref, test),
             "related_error": relative_error(ref, test),
         }

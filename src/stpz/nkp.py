@@ -2,8 +2,12 @@
 
 ``rearrange`` reshapes an (m1*m2) x (n1*n2) matrix into an
 (m1*n1) x (m2*n2) matrix whose rank-1 structure corresponds to exact
-Kronecker structure of the input; ``rearrange_slices`` does the same for
-every frontal slice of a third-order array at once, in its own dtype.
+Kronecker structure of the input.  ``_block_view`` is the one map from
+blocks to rows: ``rearrange``, ``nkp``'s matrix form and the encoder's
+rearranged DFT (``decomp._stack_dft``) all read blocks through it.  NKP
+takes the matrix, or its rearrangement with ``blocks=(m1, n1)``, and this
+module alone decides which form a caller sent, for ``nkp`` and the matrix
+routes of :mod:`stpz.decomp` alike.
 ``nkp`` takes the leading singular triplet of the rearrangement
 to produce the factor pair (B, C) with A ≈ B ⊗ C.  Each call runs one
 solver: the dense :func:`~stpz.svd.svd` for small rearrangements, where it
@@ -31,7 +35,7 @@ import numpy as np
 from .errors import DimensionError
 from .svd import _as_matrix, _leading_triplet, _scale, svd
 
-__all__ = ["KronFactors", "rearrange", "rearrange_slices", "nkp"]
+__all__ = ["KronFactors", "rearrange", "nkp"]
 
 # Dense-SVD work m * n * min(m, n) of an m x n rearrangement up to which the
 # dense SVD is used directly: below it, the per-step cost of the Lanczos
@@ -85,38 +89,40 @@ def _block_view(A: np.ndarray, m2: int, n2: int) -> np.ndarray:
     # The (l, n1, m1, n2, m2) view of an (m1*m2) x (n1*n2) x l array whose
     # entry [k, j, i, d, c] is A[i*m2 + c, j*n2 + d, k]: read in C order, its
     # slice k is the rearrangement of A[:, :, k], entry (j*m1 + i, d*m2 + c).
+    # rearrange, nkp and decomp._stack_dft all read blocks through it.
     m, n, l = A.shape
     return A.reshape(m // m2, m2, n // n2, n2, l).transpose(4, 2, 0, 3, 1)
 
 
-def rearrange_slices(A, m2: int, n2: int) -> np.ndarray:
-    """Rearrangement of every frontal slice of an (m1*m2) x (n1*n2) x l array.
-
-    Returns a C-contiguous (l, m1*n1, m2*n2) stack in A's dtype whose entry
-    k is the rearrangement of ``A[:, :, k]``: its row (j*m1 + i) is the
-    column-major vec of the m2 x n2 block (i, j), i.e. blocks are enumerated
-    j-major.  The map only permutes entries, so it commutes with any
-    transform along the slice axis, and ||rearrange(M)||_F == ||M||_F.
-    The result never aliases A.
-    """
-    A = np.asarray(A)
-    if A.ndim != 3:
-        raise DimensionError("rearrange_slices expects a third-order array")
-    m, n, l = A.shape
-    m1, n1 = _split(m, n, m2, n2)
-    S = _block_view(A, m2, n2).reshape(l, m1 * n1, m2 * n2)
-    # The reshape copies unless the blocks already line up (for example a
-    # Fortran-ordered matrix with m1 = n1 = 1).
-    return S.copy() if np.may_share_memory(S, A) else S
+def _blocks(A, m2: int, n2: int, blocks: tuple[int, int] | None, name: str) -> tuple[int, int]:
+    # (m1, n1) of NKP's input, in either of its two forms: a matrix, whose
+    # m2 x n2 blocks must tile it, or with blocks=(m1, n1) the matrix's
+    # (m1*n1) x (m2*n2) rearrangement.  The one rule for which form a caller
+    # sent, for nkp and the matrix routes of decomp alike.
+    shape = np.shape(A)
+    if len(shape) != 2:
+        raise DimensionError(f"{name} expects a matrix")
+    if blocks is None:
+        return _split(shape[0], shape[1], m2, n2)
+    m1, n1 = blocks
+    if shape != (m1 * n1, m2 * n2):
+        raise DimensionError(f"rearrangement shape {shape} is not {(m1 * n1, m2 * n2)}")
+    return m1, n1
 
 
 def rearrange(A, m2: int, n2: int) -> np.ndarray:
-    """Rearrangement of a matrix A into an (m1*n1) x (m2*n2) complex matrix,
-    as :func:`rearrange_slices` gives it for one slice."""
+    """Rearrangement of an (m1*m2) x (n1*n2) matrix A into the C-contiguous
+    (m1*n1) x (m2*n2) complex matrix whose row (j*m1 + i) is the
+    column-major vec of the m2 x n2 block (i, j), i.e. blocks are
+    enumerated j-major.  The map only permutes entries, so
+    ||rearrange(A)||_F == ||A||_F.  The result never aliases A.
+    """
     A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2:
-        raise DimensionError("rearrange expects a matrix")
-    return rearrange_slices(A[:, :, None], m2, n2)[0]
+    m1, n1 = _blocks(A, m2, n2, None, "rearrange")
+    R = _block_view(A[:, :, None], m2, n2).reshape(m1 * n1, m2 * n2)
+    # The reshape copies unless the blocks already line up (for example a
+    # Fortran-ordered matrix with m1 = n1 = 1).
+    return R.copy() if np.may_share_memory(R, A) else R
 
 
 def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFactors:
@@ -142,20 +148,17 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     of R s^2 are returned as B / s, C / s and residual / s^2.
 
     With ``blocks=(m1, n1)``, A is not the matrix but its (m1*n1) x (m2*n2)
-    rearrangement, as :func:`rearrange` or :func:`rearrange_slices` give
-    it.  The rearrangement's shape fixes only the products m1*n1 and m2*n2,
-    so blocks must be the exact (m1, n1) pair of the matrix: a swapped pair,
-    or any other pair with the same product, is not detected and gives a B
-    of that shape.  A is only read, in either form.
+    rearrangement, as :func:`rearrange` gives it, in a real or complex
+    dtype.  The rearrangement's shape fixes only the products m1*n1 and
+    m2*n2, so blocks must be the exact (m1, n1) pair of the matrix: a
+    swapped pair, or any other pair with the same product, is not detected
+    and gives a B of that shape.  A is only read, in either form.
     """
     R = _as_matrix(A, "nkp")
+    m1, n1 = _blocks(R, m2, n2, blocks, "nkp")
     if blocks is None:
-        m1, n1 = _split(R.shape[0], R.shape[1], m2, n2)
-        R = rearrange_slices(R[:, :, None], m2, n2)[0]
-    else:
-        m1, n1 = blocks
-        if R.shape != (m1 * n1, m2 * n2):
-            raise DimensionError(f"rearrangement shape {R.shape} is not {(m1 * n1, m2 * n2)}")
+        # A view where the blocks line up: R is only read.
+        R = np.ascontiguousarray(_block_view(R[:, :, None], m2, n2).reshape(m1 * n1, m2 * n2))
     s, norm2 = _scale(R, "nkp")
     if s != 1.0:
         R = R * s * s

@@ -29,10 +29,20 @@ def ppm_path(tmp_path):
     return path
 
 
+def strict_json(text):
+    """json.loads that rejects Infinity, -Infinity and NaN, which RFC 8259
+    does not allow."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
-    return code, json.loads(out) if out.strip() else None
+    return code, strict_json(out) if out.strip() else None
 
 
 class TestCompressDecompress:
@@ -134,7 +144,7 @@ class TestCompressDecompress:
         out = tmp_path / "c.ppm"
         code = main(["decompress", "--input", str(packed), "--output", str(out)])
         captured = capsys.readouterr()
-        report = json.loads(captured.out)
+        report = strict_json(captured.out)
         assert code == 0 and out.exists()
         assert report["imag_warning"] is True
         imag = np.abs(reconstruct(deserialize(packed.read_bytes())).imag).max()
@@ -327,6 +337,9 @@ class TestMetrics:
         code, out = run(capsys, "metrics", "--ref", pb, "--test", pw)
         assert code == 0
         assert out["psnr"] == 0.0
+        # ||ref||_F = 0: the relative error is infinite, and prints as psnr's
+        # infinity does.
+        assert out["related_error"] == "inf"
 
 
 class TestBenchInfo:
@@ -368,6 +381,8 @@ class TestBenchInfo:
         assert rep["method"] == method and rep["R"] == [12, 12, 12]
         assert rep["psnr_db"] == "inf" and rep["related_error"] == 0.0
         assert isinstance(rep["cr"], str) and float(rep["cr"]) > 0.0
+        report = run_method(ImageBuffer(samples), method, 1, 1, rep["R"])
+        assert report.to_json()["psnr_db"] == "inf"
 
     @pytest.mark.parametrize("channels", [3, 1])
     def test_bench_scores_the_image_decompress_writes(
@@ -452,7 +467,7 @@ class TestProgram:
         packed, out = tmp_path / "o.stpz", tmp_path / "o.ppm"
         blocks = ("--m2", 4, "--n2", 4, "--rank", 2)
         done = stpz("compress", "--input", ppm_path, *blocks, "--output", packed)
-        assert done.returncode == 0 and set(json.loads(done.stdout)) >= {"storage_count", "cr"}
+        assert done.returncode == 0 and set(strict_json(done.stdout)) >= {"storage_count", "cr"}
         done = stpz("decompress", "--input", packed, "--output", out)
         assert done.returncode == 0 and done.stderr == ""
         want, _ = decode_samples(deserialize(packed.read_bytes()))

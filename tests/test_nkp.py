@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import tracemalloc
 import warnings
 from unittest import mock
@@ -11,17 +12,25 @@ from numpy.testing import assert_allclose
 from helpers import cplx, rel_err, same_bytes, scaled_norm, with_spectrum
 from stpz.decomp import error_bound_matrix, mat_stp_svd_trunc, reconstruct
 from stpz.errors import DimensionError, NumericError
-from stpz.nkp import nkp, rearrange, rearrange_slices
+from stpz.nkp import nkp, rearrange
 from stpz.svd import leading_triplet, svd
 
 # The package re-exports the function stpz.nkp, so the module is looked up
 # by its full name.
 nkp_module = importlib.import_module("stpz.nkp")
 svd_module = importlib.import_module("stpz.svd")
+decomp_module = importlib.import_module("stpz.decomp")
 
 
 def vec(M):
     return np.asarray(M).flatten(order="F")
+
+
+def rearranged(A, m2, n2):
+    """rearrange(A, m2, n2) in A's own dtype, real or complex, as the tensor
+    route hands a Fourier plane to nkp."""
+    R = rearrange(A, m2, n2)
+    return R if np.iscomplexobj(A) else R.real.copy()
 
 
 def unrearrange(R, m1, n1, m2, n2):
@@ -104,6 +113,8 @@ class TestRearrange:
     def test_divisibility_error(self):
         with pytest.raises(DimensionError, match=r"^m2 = 4 does not divide height 6; .* \[1, 2, 3, 6\]$"):
             rearrange(np.zeros((6, 6)), 4, 2)
+        with pytest.raises(DimensionError, match=r"^m2 = 0 does not divide height 1; .* \[1\]$"):
+            rearrange(np.zeros((1, 4)), 0, 2)
 
     def test_non_matrix_is_a_dimension_error(self):
         with pytest.raises(DimensionError, match="rearrange expects a matrix"):
@@ -140,33 +151,6 @@ class TestRearrange:
         lhs = np.linalg.norm(A - np.kron(B, C))
         rhs = np.linalg.norm(rearrange(A, m2, n2) - np.outer(vec(B), vec(C)))
         assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1.0)
-
-
-class TestRearrangeSlices:
-    @pytest.mark.parametrize("dtype", [np.uint8, np.float64, np.complex128])
-    def test_each_slice_is_rearranged_in_the_input_dtype(self, dtype):
-        rng = np.random.default_rng(20)
-        A = rng.integers(0, 256, size=(6, 8, 3)).astype(dtype)
-        S = rearrange_slices(A, 3, 2)
-        assert S.dtype == dtype and S.shape == (3, 8, 6) and S.flags.c_contiguous
-        for k in range(3):
-            assert same_bytes(S[k].astype(np.complex128), rearrange(A[:, :, k], 3, 2))
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_never_aliases_input(self, order):
-        # With m1 = n1 = 1 the reshape of a Fortran-ordered array is a view.
-        A = np.array(np.arange(24.0).reshape(3, 4, 2), order=order)
-        S = rearrange_slices(A, 3, 4)
-        assert not np.shares_memory(S, A)
-        assert S.flags.c_contiguous
-
-    def test_shape_errors(self):
-        with pytest.raises(DimensionError):
-            rearrange_slices(np.zeros((4, 4)), 2, 2)
-        with pytest.raises(DimensionError):
-            rearrange_slices(np.zeros((4, 4, 2)), 3, 2)
-        with pytest.raises(DimensionError, match=r"^m2 = 0 does not divide height 1; .* \[1\]$"):
-            rearrange_slices(np.zeros((1, 4, 2)), 0, 2)
 
 
 class TestNkp:
@@ -438,7 +422,7 @@ class TestRealInput:
 
         def run(X):
             if blocks:
-                return nkp(rearrange_slices(X[:, :, None], m2, m2)[0], m2, m2, blocks=(m1, n1))
+                return nkp(rearranged(X, m2, m2), m2, m2, blocks=(m1, n1))
             return nkp(X, m2, m2)
 
         want = run(A.astype(np.complex128))
@@ -469,22 +453,35 @@ class TestRealInput:
 
 class TestRearrangedInput:
     def test_blocks_give_the_same_factors_and_leave_the_input_alone(self):
+        # The matrix and its rearrangement in the matrix's dtype give the same
+        # bytes, real or complex and from C or Fortran order.  The shapes are
+        # (m1, m2, n1, n2): dense and Lanczos sizes, and m1 = n1 = 1 and
+        # n1 = m2 = 1, where nkp reads a Fortran- or C-ordered matrix's
+        # rearrangement as a view of it.
         rng = np.random.default_rng(30)
-        A = cplx(rng, 24, 40)
-        want = nkp(A, 4, 5)
-        R = rearrange(A, 4, 5)
-        R0 = R.copy()
-        got = nkp(R, 4, 5, blocks=(6, 8))
-        assert same_bytes(R, R0)
-        assert same_bytes(got.B, want.B) and same_bytes(got.C, want.C)
-        assert got.residual == pytest.approx(want.residual, rel=1e-12)
-        mat_stp_svd_trunc(R, 4, 5, 3, blocks=(6, 8))
-        assert same_bytes(R, R0)
+        shapes = [(6, 4, 8, 5), (8, 8, 8, 8), (1, 4, 1, 5), (3, 1, 1, 4)]
+        for (m1, m2, n1, n2), real, order in itertools.product(shapes, (False, True), "CF"):
+            A = cplx(rng, m1 * m2, n1 * n2)
+            A = np.array(A.real if real else A, order=order)
+            A0, R = A.copy(), rearranged(A, m2, n2)
+            R0 = R.copy()
+            want = nkp(A, m2, n2)
+            got = nkp(R, m2, n2, blocks=(m1, n1))
+            assert same_bytes(A, A0) and same_bytes(R, R0)
+            assert same_bytes(got.B, want.B) and same_bytes(got.C, want.C)
+            assert got.residual == want.residual
+            mat_stp_svd_trunc(R, m2, n2, 1, blocks=(m1, n1))
+            assert same_bytes(R, R0)
 
-    def test_blocks_must_match_the_rearrangement(self):
+    def test_blocks_must_match_the_rearrangement(self, monkeypatch):
         R = np.zeros((12, 6), dtype=np.complex128)
-        with pytest.raises(DimensionError):
+        shape = r"^rearrangement shape \(12, 6\) is not \(9, 6\)$"
+        with pytest.raises(DimensionError, match=shape):
             nkp(R, 2, 3, blocks=(3, 3))
+        # The matrix route checks the shape before NKP runs.
+        monkeypatch.setattr(decomp_module, "nkp", lambda *a, **k: pytest.fail("nkp ran"))
+        with pytest.raises(DimensionError, match=shape):
+            mat_stp_svd_trunc(R, 2, 3, 1, blocks=(3, 3))
 
     def test_no_temporary_the_size_of_the_rearrangement(self):
         # The residual comes from ||R||^2 - s1^2 here (tail ratio about
