@@ -15,8 +15,13 @@ is faster, and the Lanczos solver :func:`~stpz.svd.leading_triplet` for
 every larger one.  Lanczos converges within its budget when the ratio
 sigma_2/sigma_1 of the rearrangement is below about 0.9, and the pair is
 then Frobenius-optimal.  On a flatter leading spectrum, as in
-noise-dominated input, the budget runs out first, and the pair comes from
-the Ritz triplet it reached.
+noise-dominated input, the budget can run out first, and the pair comes
+from the Ritz triplet it reached.  That happens only on near-square
+rearrangements, or where the short side exceeds the budget of 24 steps: a
+tall or wide one (short side k at most ``svd._GRAM_SIDE``, long side at
+least ``svd._GRAM_ASPECT`` k, such as a 512² image's 4096 x 64 at m2 = 8) runs
+Lanczos on its k x k Gram matrix, whose squared spectrum converges sooner,
+and whose whole Krylov space fits the budget for k <= 24.
 
 The residual ||A - B ⊗ C||_F of the returned pair is
 sqrt(||R||_F^2 - sigma^2) on both paths, read from R in one pass
@@ -133,9 +138,12 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     zero factors.  On the Lanczos path the pair is optimal unless the
     input is built so that v1 is orthogonal to the solver's fixed start,
     or the solver reaches its step budget, as on a flat leading spectrum
-    (see :func:`~stpz.svd.leading_triplet`).  At the budget, s1 is the
-    largest Ritz value, at most the leading singular value, and the
-    residual is correspondingly at least the optimal one.
+    (see :func:`~stpz.svd.leading_triplet`).  The budget can end the run
+    only on a near-square rearrangement, or on a tall or wide one whose
+    short side exceeds 24, since those with a smaller one run Lanczos on
+    their Gram matrix, where the budget spans its whole Krylov space.  At
+    the budget, s1 is the largest Ritz value, at most the leading singular
+    value, and the residual is correspondingly at least the optimal one.
 
     ``residual`` is the norm of A - B ⊗ C for the returned pair on both
     paths, taken as sqrt(||R||_F^2 - s1^2) with no temporary: the dense SVD

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import warnings
 
 import numpy as np
@@ -215,6 +216,32 @@ class TestSvds:
 
 SHAPES = st.sampled_from(["tall", "wide", "square", "row", "column"])
 
+# Tall shapes at the edges of leading_triplet's Gram-route rule, and
+# whether the rule takes them: in at both limits (short side _GRAM_SIDE at
+# aspect _GRAM_ASPECT, and a short side of 16), out by one row of aspect,
+# and out by one column of short side.
+_SIDE, _ASPECT = svd_module._GRAM_SIDE, svd_module._GRAM_ASPECT
+GRAM_RULE = {
+    "gram-64": ((_ASPECT * _SIDE, _SIDE), True),
+    "gram-16": ((_ASPECT * 16, 16), True),
+    "aspect-below": ((_ASPECT * _SIDE - 1, _SIDE), False),
+    "side-above": ((_ASPECT * (_SIDE + 1), _SIDE + 1), False),
+}
+
+
+def route_case(shape, wide, dtype, data, rng):
+    """Centered uniform noise of the tall shape, whose leading spectrum is
+    flat, plus for "slice" a rank-1 term that puts sigma_2 / sigma_1 near
+    0.15, as in an image's rearranged Fourier slices; transposed if wide."""
+    def draw(*size):
+        x = rng.uniform(-1.0, 1.0, size)
+        return x + 1j * rng.uniform(-1.0, 1.0, size) if dtype == "complex" else x
+
+    A = draw(*shape)
+    if data == "slice":
+        A += 2.0 * np.outer(draw(shape[0]), draw(shape[1]))
+    return np.ascontiguousarray(A.T) if wide else A
+
 
 class TestLeadingTriplet:
     @given(
@@ -283,8 +310,11 @@ class TestLeadingTriplet:
         assert scaled_norm(term - want) <= 1e-12 * scaled_norm(want)
 
     def test_zero_input(self):
-        for dtype in (np.float64, np.complex128):
-            A = np.zeros((4, 3), dtype=dtype)
+        # (128, 4) and (4, 128) take the Gram route, whose zero G gives a
+        # zero X v that must not be divided by.
+        shapes = [(4, 3), (128, 4), (4, 128)]
+        for shape, dtype in itertools.product(shapes, (np.float64, np.complex128)):
+            A = np.zeros(shape, dtype=dtype)
             f, d = leading_triplet(A), svd(A)
             assert f.U.dtype == f.V.dtype == d.U.dtype == dtype
             assert f.sigma[0] == 0.0 == d.sigma[0]
@@ -351,6 +381,58 @@ class TestLeadingTriplet:
         A = with_spectrum(rng, m, n, ratio ** np.arange(min(m, n)), real=real)
         converged = assert_ritz_triplet(A, leading_triplet(A))
         event("converged" if converged else "budget ended the run")
+
+    @pytest.mark.parametrize("data", ["slice", "noise"])
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    @pytest.mark.parametrize("shape, gram", list(GRAM_RULE.values()), ids=list(GRAM_RULE))
+    def test_gram_route(self, monkeypatch, shape, gram, wide, dtype, data):
+        # On both sides of the Gram-route rule, tall and wide, real and
+        # complex, for a converging slice and for flat uniform noise: the
+        # route taken, e1 = sqrt(||A||^2 - sigma^2) against the dense SVD's
+        # tail, the direct residual (in assert_ritz_triplet) and bitwise
+        # repeatability.
+        A = route_case(shape, wide, dtype, data, np.random.default_rng(17))
+        calls = []
+        real_gram = svd_module._gram_triplet
+        monkeypatch.setattr(
+            svd_module, "_gram_triplet", lambda X: calls.append(X.shape) or real_gram(X)
+        )
+        f = leading_triplet(A)
+        assert calls == ([A.shape] if gram else [])
+        assert_ritz_triplet(A, f)
+        tail = np.linalg.norm(np.linalg.svd(A, compute_uv=False)[1:])
+        e1 = np.sqrt(np.linalg.norm(A) ** 2 - f.sigma[0] ** 2)
+        if data == "noise" and min(shape) > svd_module._GKL_STEPS:
+            # A flat spectrum can outlast the budget on either route, and
+            # e1 is then above the optimum, as for every budget triplet
+            # (measured up to 1.4e-7 on A, 1.2e-9 on G at these shapes).
+            assert tail * (1 - 1e-12) <= e1 <= tail * (1 + 1e-5)
+        else:
+            # Converged, or G's whole Krylov space within the budget.
+            assert e1 == pytest.approx(tail, rel=1e-9)
+        g = leading_triplet(A.copy())
+        assert same_bytes(f.U, g.U) and same_bytes(f.sigma, g.sigma) and same_bytes(f.V, g.V)
+
+    @pytest.mark.parametrize("e", [-598, 598], ids=["2^-598", "2^598"])
+    def test_gram_matrix_takes_the_scale_step(self, e):
+        # ||A||_F^2 = 2^e is inside the input rule's range, so A is taken
+        # as it is, but ||G||_F^2 is near 2^(2e), out of it: unscaled, G's
+        # Lanczos norms would underflow to zero or overflow to Inf.
+        rng = np.random.default_rng(18)
+        A = route_case(GRAM_RULE["gram-64"][0], False, "complex", "slice", rng)
+        A /= np.linalg.norm(A)
+        c = 2.0 ** (e // 2)
+        low, high = svd_module._NORM2_RANGE
+        assert low <= np.linalg.norm(c * A) ** 2 <= high
+        f = leading_triplet(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fc = leading_triplet(c * A)
+            want = c * (f.sigma[0] * np.outer(f.U[:, 0], f.V[:, 0].conj()))
+            term = fc.sigma[0] * np.outer(fc.U[:, 0], fc.V[:, 0].conj())
+        assert fc.sigma[0] == pytest.approx(c * f.sigma[0], rel=1e-12)
+        assert scaled_norm(term - want) <= 1e-12 * scaled_norm(want)
 
     def test_phase_convention(self):
         rng = np.random.default_rng(13)
