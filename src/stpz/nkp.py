@@ -17,11 +17,10 @@ sigma_2/sigma_1 of the rearrangement is below about 0.9, and the pair is
 then Frobenius-optimal.  On a flatter leading spectrum, as in
 noise-dominated input, the budget can run out first, and the pair comes
 from the Ritz triplet it reached.  That happens only on near-square
-rearrangements, or where the short side exceeds the budget of 24 steps: a
-tall or wide one (short side k at most ``svd._GRAM_SIDE``, long side at
-least ``svd._GRAM_ASPECT`` k, such as a 512² image's 4096 x 64 at m2 = 8) runs
-Lanczos on its k x k Gram matrix, whose squared spectrum converges sooner,
-and whose whole Krylov space fits the budget for k <= 24.
+rearrangements, or where the short side exceeds the budget of 24 steps,
+since tall and wide ones (such as a 512² image's 4096 x 64 at m2 = 8) take
+the Gram route that :func:`~stpz.svd.leading_triplet` describes, whose
+budget spans the whole Krylov space of a short side k <= 24.
 
 The residual ||A - B ⊗ C||_F of the returned pair is
 sqrt(||R||_F^2 - sigma^2) on both paths, read from R in one pass
@@ -167,9 +166,7 @@ def nkp(A, m2: int, n2: int, *, blocks: tuple[int, int] | None = None) -> KronFa
     if blocks is None:
         # A view where the blocks line up: R is only read.
         R = np.ascontiguousarray(_block_view(R[:, :, None], m2, n2).reshape(m1 * n1, m2 * n2))
-    s, norm2 = _scale(R, "nkp")
-    if s != 1.0:
-        R = R * s * s
+    R, s, norm2 = _scale(R, "nkp")
     f = svd(R) if R.size * min(R.shape) <= _DENSE_WORK else _leading_triplet(R)
     s1 = np.sqrt(f.sigma[0])
     B = (s1 * f.U[:, 0]).reshape((m1, n1), order="F")

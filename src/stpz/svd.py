@@ -12,20 +12,15 @@ which the rotation is a sign.
 r > min(m, n) / 2, and otherwise the Rayleigh–Ritz triplets of the top r
 eigenvectors of the short-side Gram matrix.  ``leading_triplet`` is
 a Lanczos solver for the first triplet alone, which returns its Ritz
-triplet when its step budget runs out.  On a tall or wide A with a short
-side k of at most ``_GRAM_SIDE`` and a long side of at least
-``_GRAM_ASPECT * k``, it runs on the k x k Gram matrix G of the tall side,
-so that its start, stopping test and budget apply to G, and maps G's
-vector back through A with one product; its result is a Ritz triplet of A
-on either route, u^H A v = sigma.  All three follow the phase convention.
+triplet when its step budget runs out; its docstring describes the Gram
+route it takes on tall and wide input, and that route's scale step.  All
+three follow the phase convention.
 
 One input rule guards the solvers that square entries (``leading_triplet``,
 the Gram side of ``svds`` and :func:`~stpz.nkp.nkp`): a nonzero A with
 ||A||_F^2 outside ``_NORM2_RANGE`` = [2^-600, 2^600] is factored as A s^2,
 for the power of two s that brings its largest modulus into [1/2, 2), and
 the result is scaled back; ``svds`` takes its dense route instead.
-``leading_triplet``'s G passes the same rule again, since ||G||_F^2 can
-reach 2^1200 while ||A||_F^2 is in range.
 NaN or Inf raises NumericError, and an empty matrix DimensionError.
 """
 
@@ -85,20 +80,14 @@ def _fix_phases(U: np.ndarray, V: np.ndarray) -> None:
     # Largest-modulus entry of each left vector made real positive (first
     # index wins ties); the paired right vector absorbs the same rotation.
     # The modulus is np.hypot of the parts, which gives the scalar abs()
-    # bit for bit (np.abs of a complex array may differ from it by an ulp);
-    # a zero column is left as it is.
+    # bit for bit (np.abs of a complex array may differ from it by an ulp).
+    # Every caller passes orthonormal columns, whose largest modulus is at
+    # least 1 / sqrt(m), so no column is zero.
     i = np.argmax(np.abs(U), axis=0)
     u = U[i, np.arange(U.shape[1])]
-    m = np.hypot(u.real, u.imag)
-    keep = m > 0.0
-    if keep.all():
-        ph = np.conj(u) / m
-        U *= ph
-        V *= ph
-    else:
-        ph = np.conj(u[keep]) / m[keep]
-        U[:, keep] *= ph
-        V[:, keep] *= ph
+    ph = np.conj(u) / np.hypot(u.real, u.imag)
+    U *= ph
+    V *= ph
 
 
 def _as_matrix(A, name: str) -> np.ndarray:
@@ -110,22 +99,22 @@ def _as_matrix(A, name: str) -> np.ndarray:
     return A
 
 
-def _scale(A: np.ndarray, name: str) -> tuple[float, float]:
-    # (s, ||A s^2||_F^2) under the input rule, with s = 1 for A in range,
-    # read in one pass, and for a zero A.  The caller builds A s^2 itself,
-    # and only if it factors it.
+def _scale(A: np.ndarray, name: str) -> tuple[np.ndarray, float, float]:
+    # (A s^2, s, ||A s^2||_F^2) under the input rule.  For A in range, read
+    # in one pass, and for a zero A, s = 1 and A itself is returned, uncopied.
     if 0 in A.shape:
         raise DimensionError(f"{name} expects a nonempty matrix")
     norm2 = float(np.vdot(A, A).real)
     if _NORM2_RANGE[0] <= norm2 <= _NORM2_RANGE[1]:
-        return 1.0, norm2
+        return A, 1.0, norm2
     X = np.abs(A)
     top = float(X.max())
     if not math.isfinite(top):
         raise NumericError(f"{name} input contains NaN or Inf")
     e = math.frexp(top)[1] // 2
     np.ldexp(X, -2 * e, out=X)
-    return math.ldexp(1.0, -e), float(np.vdot(X, X))
+    s = math.ldexp(1.0, -e)
+    return (A if s == 1.0 else A * s * s), s, float(np.vdot(X, X))
 
 
 def svd(A) -> SvdResult:
@@ -169,9 +158,10 @@ def leading_triplet(A) -> SvdResult:
     then apply to G, whose leading vector is v, and the triplet is
     sigma = ||X v||, u = X v / sigma (swapped for a wide A).  G squares the
     spectrum, so the process converges in fewer steps, each on k x k, and
-    it reads A once to form G and once to map v back.  G takes the scale
-    step of the input rule itself, since its squares can leave the range
-    while A's are inside it.
+    it reads A once to form G and once to map v back.  G then takes the
+    module's input rule as its own input, since ||G||_F^2 can reach 2^1200
+    while ||A||_F^2 is in range: the process runs on G s^2, whose unit
+    leading vector is G's, so no scale is undone.
 
     A Ritz triplet is exact for its own projection whether or not it has
     converged: u^H A v = sigma, so ||A - sigma u v^H||_F^2 =
@@ -187,15 +177,9 @@ def leading_triplet(A) -> SvdResult:
     matrix built with v_1 orthogonal to the fixed w converges to a smaller
     singular value; its residual is still below the tolerance.
     """
-    return _scaled_triplet(_as_matrix(A, "leading_triplet"))
-
-
-def _scaled_triplet(A: np.ndarray) -> SvdResult:
-    # leading_triplet of a float64 or complex128 A: the input rule's scale
-    # step around _leading_triplet.
-    scale, _ = _scale(A, "leading_triplet")
-    f = _leading_triplet(A if scale == 1.0 else A * scale * scale)
-    f.sigma = f.sigma / scale / scale
+    A, s, _ = _scale(_as_matrix(A, "leading_triplet"), "leading_triplet")
+    f = _leading_triplet(A)
+    f.sigma = f.sigma / s / s
     return f
 
 
@@ -217,10 +201,11 @@ def _zero_triplet(A: np.ndarray) -> SvdResult:
 
 def _gram_triplet(A: np.ndarray) -> SvdResult:
     # The Gram route of leading_triplet.  For a wide A the tall side
-    # X = A^H is copied once, C-contiguous, for _gram.
+    # X = A^H is copied once, C-contiguous, for _gram.  G is square, so
+    # Lanczos on G itself is the route _leading_triplet would pick for it.
     wide = A.shape[0] < A.shape[1]
     X = np.conj(A.T, order="C") if wide else A
-    v = _scaled_triplet(_gram(X)).V
+    v = _gkl_triplet(_scale(_gram(X), "leading_triplet")[0]).V
     x = X @ v
     sigma = np.linalg.norm(x)
     if sigma == 0.0:
@@ -331,7 +316,7 @@ def svds(A, r: int) -> SvdResult:
     k = min(A.shape)
     if not 1 <= r <= k:
         raise DimensionError(f"truncation rank {r} out of range [1, {k}]")
-    if 2 * r <= k and _scale(A, "svds")[0] == 1.0:
+    if 2 * r <= k and _scale(A, "svds")[1] == 1.0:
         return _gram_svds(A, r)
     full = svd(A)
     return SvdResult(U=full.U[:, :r].copy(), sigma=full.sigma[:r].copy(), V=full.V[:, :r].copy())

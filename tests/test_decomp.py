@@ -420,6 +420,41 @@ class TestTSvd:
             assert resid == pytest.approx(tail, rel=1e-9)
 
 
+class TestTSvdIsStpAtUnitBlocks:
+    """The paper's STP-SVD generalizes the tensor SVD: at m2 = n2 = 1 each
+    slice's NKP is exact (C is 1 x 1), and the truncated SVD of B is the
+    truncated tubal SVD of that slice."""
+
+    @pytest.mark.parametrize(
+        "case, R",
+        [("rgb", [3, 3, 3]), ("rgb", [2, 5, 4]), ("gray", [7]), ("complex", [2, 3, 4, 1])],
+    )
+    def test_matches_the_t_svd(self, case, R):
+        rng = np.random.default_rng(31)
+        if case == "rgb":
+            A = textured_samples(rng, 48, 40, 3)
+        elif case == "gray":
+            A = textured_samples(rng, 64, 64, 1)
+        else:
+            A = cplx(rng, 12, 10, 4)
+        F = tensor_stp_svd_trunc(A, 1, 1, R)
+        want = reconstruct(t_svd_trunc(A, R))
+        assert rel_err(reconstruct(F), want) <= 1e-12
+        Ah = dft3(A)
+        for i, s in enumerate(F.slices):
+            assert s.e1 <= 1e-12 * np.linalg.norm(Ah[:, :, i])
+        if case == "complex":
+            # decode_samples takes images only: 1 or 3 slices.
+            return
+        # The T-SVD reference decode, sample for sample, under
+        # assert_decodes_like_the_reference's rule for k + 0.5 ties.
+        got, _ = decode_samples(F)
+        diff = got.astype(int) - tensor_to_image(want).samples
+        tol = 1e-12 * (1 + np.abs(want).max())
+        near_tie = np.abs(want.real - np.floor(want.real) - 0.5) <= tol
+        assert np.all((diff == 0) | ((np.abs(diff) == 1) & near_tie))
+
+
 class TestFactorizationChecks:
     """A factorization checks itself once, when it is built, so no invalid one
     reaches reconstruct, decode_samples or serialize."""

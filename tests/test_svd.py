@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -139,8 +140,6 @@ class TestFixPhases:
             U += 1j * rng.normal(size=(m, k))
             V += 1j * rng.normal(size=(n, k))
         U *= 10.0 ** rng.uniform(-5, 5, size=k)
-        if k > 1:
-            U[:, 1] = 0.0
         if m > 4 and k > 2:
             # A tie for the largest modulus: the first row wins.
             U[:, 2] /= 2 * np.abs(U[:, 2]).max()
@@ -165,11 +164,31 @@ class TestFixPhases:
         f = svd(A)
         assert same_bytes(f.U, want_U) and same_bytes(f.V, want_V)
 
-    def test_zero_matrix_is_left_alone(self):
-        U, V = np.zeros((4, 3), dtype=np.complex128), -np.zeros((5, 3), dtype=np.complex128)
-        _fix_phases(U, V)
-        assert same_bytes(U, np.zeros((4, 3), dtype=np.complex128))
-        assert same_bytes(V, -np.zeros((5, 3), dtype=np.complex128))
+
+class TestScale:
+    """The input rule's one scale step: (A s^2, s, ||A s^2||_F^2)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_in_range_and_zero_input_are_returned_uncopied(self, dtype):
+        rng = np.random.default_rng(40)
+        for A in (rng.normal(size=(6, 5)).astype(dtype), np.zeros((6, 5), dtype=dtype)):
+            got, s, norm2 = svd_module._scale(A, "test")
+            assert got is A and s == 1.0
+            assert norm2 == float(np.vdot(A, A).real)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("e", [-700, 700], ids=["2^-700", "2^700"])
+    def test_out_of_range_input_is_scaled_by_a_power_of_two(self, dtype, e):
+        rng = np.random.default_rng(41)
+        A = rng.normal(size=(7, 4)).astype(dtype)
+        if dtype == np.complex128:
+            A += 1j * rng.normal(size=(7, 4))
+        A *= 2.0 ** (e // 2) / np.linalg.norm(A)
+        got, s, norm2 = svd_module._scale(A, "test")
+        assert same_bytes(got, A * s * s)
+        assert math.frexp(s)[0] == 0.5
+        assert 0.5 <= np.abs(got).max() < 2.0
+        assert norm2 == pytest.approx(np.linalg.norm(got) ** 2, rel=1e-14)
 
 
 class TestSvds:
