@@ -256,6 +256,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "not finite" in captured.err
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_overflowing_samples_with_a_finite_residue_exit_4(self, tmp_path, capsys, channels):
+        # Finite factors, and only B ⊗ C overflows.  Gray factors are real,
+        # so the imaginary part is exactly 0; RGB's slices 1 and 2 stay a
+        # conjugate pair, so nothing but the samples' own check sees it.
+        rng = np.random.default_rng(40 + channels)
+        A = textured_samples(rng, 16, 16, channels)
+        F = tensor_stp_svd_trunc(A, 4, 4, [2] * channels)
+        for s in F.slices:
+            s.sigma[:] = 1e300
+            s.C[:] = 1e300
+        packed, out = tmp_path / "o.stpz", tmp_path / "o.ppm"
+        packed.write_bytes(serialize(F))
+        assert main(["decompress", "--input", str(packed), "--output", str(out)]) == 4
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
+
     @pytest.mark.parametrize(
         "exc, code", [(NumericError("svd input contains NaN or Inf"), 4), (MemoryError(), 5)]
     )
