@@ -132,12 +132,16 @@ def image_to_tensor(img: ImageBuffer) -> np.ndarray:
     return img.samples.astype(np.complex128)
 
 
-def _round_samples(x: np.ndarray) -> np.ndarray:
+def _round_samples(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The 8-bit rounding floor(clip(x, 0, 255) + 0.5), in place on float64 x:
-    x + 0.5 clamped to [0.5, 255.5] clamps x to [0, 255]; the cast floors."""
+    x + 0.5 clamped to [0.5, 255.5] clamps x to [0, 255]; the cast floors.
+    The samples go to a new uint8 array, or into ``out`` (of x's shape)."""
     x += 0.5
     np.clip(x, 0.5, 255.5, out=x)
-    return x.astype(np.uint8)
+    if out is None:
+        return x.astype(np.uint8)
+    np.copyto(out, x, casting="unsafe")
+    return out
 
 
 def tensor_to_image(A) -> ImageBuffer:

@@ -403,6 +403,19 @@ class TestBenchInfo:
         report = run_method(ImageBuffer(samples), method, 1, 1, rep["R"])
         assert report.to_json()["psnr_db"] == "inf"
 
+    def test_full_tsvd_rank_ignores_the_blocks(self, tmp_path, capsys):
+        # T-SVD's full rank is min(height, width), not the STP route's
+        # min(m1, n1) = 3 at m2 = n2 = 4, which would be lossy.
+        src = tmp_path / "in.ppm"
+        samples = np.random.default_rng(42).integers(0, 256, (16, 12, 3), dtype=np.uint8)
+        src.write_bytes(save_ppm(ImageBuffer(samples)))
+        code, rep = run(
+            capsys, "bench", "--input", src, "--method", "tsvd",
+            "--m2", 4, "--n2", 4, "--rank", "full",
+        )
+        assert code == 0
+        assert rep["R"] == [12, 12, 12] and rep["psnr_db"] == "inf"
+
     @pytest.mark.parametrize("channels", [3, 1])
     def test_bench_scores_the_image_decompress_writes(
         self, tmp_path, capsys, monkeypatch, channels

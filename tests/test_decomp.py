@@ -1014,7 +1014,8 @@ def assert_decodes_like_the_reference(F):
     got, residue = decode_samples(F)
     tol = 1e-12 * (1 + np.abs(A).max())
     m1, m2, n1, n2, l = F.dims
-    plane, _ = decomp_module._decode_planes(F)
+    left, right, _ = decomp_module._decode_terms(F)
+    plane = left(0, m1).T @ right.reshape(len(right), -1)
     plane = plane.reshape(m1, n1, m2, n2, l).transpose(0, 2, 1, 3, 4).reshape(A.shape)
     assert np.abs(plane - A.real).max() <= tol
     assert got.dtype == np.uint8 and got.shape == A.shape and got.flags.c_contiguous
@@ -1082,6 +1083,32 @@ class TestDecodeSamples:
             F = tensor_stp_svd_trunc(A, m2, m2, [min(r, 48 // m2) for r in R])
             got, residue, want, warn = assert_decodes_like_the_reference(F)
             assert residue < 1e-9 and not warn
+
+    @pytest.mark.parametrize(
+        "m, n, l, m2, n2, R",
+        [
+            (512, 384, 3, 1, 1, [4, 4, 4]),
+            (512, 384, 3, 1, 1, [1, 3, 2]),
+            (256, 256, 3, 8, 8, [1, 3, 2]),
+            (320, 256, 1, 4, 4, [10]),
+            (64, 1024, 3, 32, 32, [2, 2, 2]),
+        ],
+    )
+    def test_traced_peak_is_the_output_plus_a_band(self, m, n, l, m2, n2, R):
+        # Bands of B's rows (at m2 = 1) or of one block's rows (at m2 = 32)
+        # keep the working memory to a few bands of the plane, whether
+        # conjugate pairs are decoded once or an imaginary part is measured.
+        rng = np.random.default_rng(73)
+        F = deserialize(serialize(tensor_stp_svd_trunc(textured_samples(rng, m, n, l), m2, n2, R)))
+        tracemalloc.start()
+        try:
+            got, residue = decode_samples(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + 6 * 2**20
+        assert (residue == 0.0) == (R[1:] == R[:0:-1])
+        assert_decodes_like_the_reference(F)
 
     def test_rejects_what_is_not_an_image(self):
         rng = np.random.default_rng(72)

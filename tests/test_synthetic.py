@@ -1,11 +1,35 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stpz.errors import DimensionError
-from stpz.imaging import image_to_tensor
+from stpz.imaging import image_to_tensor, tensor_to_image
 from stpz.nkp import nkp
-from stpz.synthetic import structured_test_image
-from stpz.tensor import dft3
+from stpz.synthetic import _rank_k, _smooth, structured_test_image
+from stpz.tensor import dft3, idft3
+
+
+def reference_image(height, width, m2, n2, rank, seed):
+    """The generator's construction in complex arithmetic, from the same
+    draws: the full (m, n, 3) spectrum [M1, M2, conj(M2)] through idft3."""
+    m1, n1 = height // m2, width // n2
+    rng = np.random.default_rng(seed)
+    pos_u = 1.0 + 0.2 * _smooth(rng, m1)
+    pos_v = 1.0 + 0.2 * _smooth(rng, n1)
+    B1 = np.outer(pos_u, pos_v).astype(np.complex128)
+    B1 += 0.04 * _rank_k(rng, m1, n1, rank - 1, complex_=False)
+    C1 = np.outer(1.0 + 0.2 * _smooth(rng, m2), 1.0 + 0.2 * _smooth(rng, n2))
+    C1 = C1.astype(np.complex128) + 0.02 * _rank_k(rng, m2, n2, min(rank, m2) - 1, False)
+    M1 = np.kron(B1, C1)
+    M1 *= 3.0 * 205.0 / M1.real.max()
+    B2 = _rank_k(rng, m1, n1, rank, complex_=True)
+    C2 = _rank_k(rng, m2, n2, min(rank, m2), complex_=True)
+    M2 = np.kron(B2, C2)
+    M2 *= 58.0 / np.abs(M2).max()
+    T = idft3(np.stack([M1, M2, np.conj(M2)], axis=2))
+    assert np.abs(T.imag).max() <= 1e-9 * np.abs(T.real).max()
+    return tensor_to_image(T.real).samples
 
 
 def test_deterministic():
@@ -44,3 +68,31 @@ def test_dimension_validation():
         structured_test_image(height=8, width=8, m2=4, n2=4, rank=3)
     with pytest.raises(DimensionError, match=r"entry 0 out of range \[1, 24\]"):
         structured_test_image(rank=0)
+
+
+@pytest.mark.parametrize(
+    "height, width, m2, n2, rank",
+    [(96, 96, 4, 4, 4), (48, 80, 4, 8, 3), (60, 36, 3, 2, 2), (32, 64, 8, 4, 1), (40, 24, 2, 6, 4)],
+)
+def test_half_spectrum_equals_the_idft3_reference(height, width, m2, n2, rank):
+    for seed in range(20):
+        got = structured_test_image(height, width, m2, n2, rank, seed).samples
+        assert np.array_equal(got, reference_image(height, width, m2, n2, rank, seed))
+
+
+@pytest.mark.parametrize("size, m2", [(512, 8), (1024, 32)])
+def test_large_images_equal_the_reference(size, m2):
+    got = structured_test_image(size, size, m2, m2, rank=4, seed=11).samples
+    assert np.array_equal(got, reference_image(size, size, m2, m2, 4, 11))
+
+
+def test_traced_peak_at_1024():
+    # The (m, n, 3) complex spectrum alone would be 48 MiB; the reference
+    # construction peaks at about 155 MiB.
+    tracemalloc.start()
+    try:
+        structured_test_image(1024, 1024, 32, 32, rank=4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
