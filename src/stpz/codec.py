@@ -15,12 +15,18 @@ Container layout ("STPZ" v1, little-endian, no padding):
     per slice i:      U_i (m1 x R_i complex), sigma_i (R_i f64),
                       C_i (m2 x n2 complex), V_i (n1 x R_i complex)
 
-Complex scalars are (re, im) f64 pairs; matrices are column-major.  Trailing
-bytes and non-finite (NaN or Inf) scalars are format errors.
+Complex scalars are (re, im) f64 pairs; matrices are column-major.  The
+dims and ranks fix every field's shape, so they fix the file's exact length:
+a file of any other length is a format error.  So is a header whose pixel
+count m1*m2*n1*n2 exceeds MAX_PIXELS, 178,956,970 by default (Pillow's
+DecompressionBombError threshold), which a library caller may raise.  Both
+are checked before any payload byte is read.  A non-finite (NaN or Inf)
+scalar is a format error at the offset of its field.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from enum import Enum
 from fractions import Fraction
@@ -37,11 +43,19 @@ __all__ = [
     "compression_rate",
     "serialize",
     "deserialize",
+    "MAX_PIXELS",
 ]
 
 MAGIC = b"STPZ"
 VERSION = 1
 FLAG_REAL_INPUT = 0x01
+# The largest m1*m2*n1*n2 that deserialize accepts: 2 * Pillow's
+# Image.MAX_IMAGE_PIXELS.
+MAX_PIXELS = 178_956_970
+
+# Magic, version, flags, reserved, and the dims m1 m2 n1 n2 l: 28 bytes.
+_HEADER = struct.Struct("<4sBBH5I")
+_COMPLEX, _REAL = np.dtype("<c16"), np.dtype("<f8")
 
 
 class Method(str, Enum):
@@ -102,52 +116,25 @@ def compression_rate(
     )
 
 
-def _mat_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a.ravel(order="F"), dtype="<c16").tobytes()
+def _layout(dims: Sequence[int], R: Sequence[int]):
+    """The payload's fields in file order, as (slice, name, shape, dtype):
+    U (m1 x r), sigma (r), C (m2 x n2) and V (n1 x r) of each slice."""
+    m1, m2, n1, n2, _ = dims
+    for i, r in enumerate(R):
+        yield i, "U", (m1, r), _COMPLEX
+        yield i, "sigma", (r,), _REAL
+        yield i, "C", (m2, n2), _COMPLEX
+        yield i, "V", (n1, r), _COMPLEX
 
 
 def serialize(F: TensorStpSvd) -> bytes:
     """Encode Fourier-domain factors into the STPZ v1 container."""
-    m1, m2, n1, n2, l = F.dims
+    R = F.block_rank
     flags = FLAG_REAL_INPUT if F.real_input else 0
-    parts = [
-        MAGIC,
-        struct.pack("<BBH", VERSION, flags, 0),
-        struct.pack("<5I", m1, m2, n1, n2, l),
-        struct.pack(f"<{l}I", *F.block_rank),
-    ]
-    for s in F.slices:
-        parts.append(_mat_bytes(s.U))
-        parts.append(np.ascontiguousarray(s.sigma, dtype="<f8").tobytes())
-        parts.append(_mat_bytes(s.C))
-        parts.append(_mat_bytes(s.V))
+    parts = [_HEADER.pack(MAGIC, VERSION, flags, 0, *F.dims), struct.pack(f"<{len(R)}I", *R)]
+    for i, name, _, dtype in _layout(F.dims, R):
+        parts.append(np.asarray(getattr(F.slices[i], name), dtype).tobytes("F"))
     return b"".join(parts)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, size: int, what: str) -> bytes:
-        if self.pos + size > len(self.data):
-            raise FormatError(f"truncated container: expected {what}", self.pos)
-        out = self.data[self.pos : self.pos + size]
-        self.pos += size
-        return out
-
-    def array(self, count: int, dtype: str, what: str) -> np.ndarray:
-        """The next ``count`` scalars of ``dtype``; NaN or Inf is a format
-        error at the field's offset."""
-        at, kind = self.pos, np.dtype(dtype)
-        raw = self.take(kind.itemsize * count, what)
-        flat = np.frombuffer(raw, dtype=kind).astype(kind.newbyteorder("="))
-        if not np.all(np.isfinite(flat)):
-            raise FormatError(f"{what} contains NaN or Inf", at)
-        return flat
-
-    def matrix(self, rows: int, cols: int, what: str) -> np.ndarray:
-        return self.array(rows * cols, "<c16", what).reshape((rows, cols), order="F")
 
 
 def _check_header(at: int, check, *args) -> None:
@@ -159,33 +146,42 @@ def _check_header(at: int, check, *args) -> None:
 
 
 def deserialize(data: bytes) -> TensorStpSvd:
-    """Decode an STPZ v1 container; exact inverse of :func:`serialize`.  Its
-    dims and ranks pass the factorization constructors' checks before any
-    payload is read."""
-    rd = _Reader(bytes(data))
-    if rd.take(4, "magic") != MAGIC:
+    """Decode an STPZ v1 container; exact inverse of :func:`serialize`.  The
+    header, the pixel cap and the file's exact length are checked before any
+    payload byte is read."""
+    data = bytes(data)
+    if data[:4] != MAGIC:
         raise FormatError("bad magic, not an STPZ container", 0)
-    version, flags, reserved = struct.unpack("<BBH", rd.take(4, "header"))
+    if len(data) < 28:
+        raise FormatError("truncated container: expected header", 4)
+    _, version, flags, reserved, *dims = _HEADER.unpack_from(data)
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}", 4)
     if flags & ~FLAG_REAL_INPUT:
         raise FormatError(f"unknown flag bits 0x{flags:02x}", 5)
     if reserved != 0:
         raise FormatError("reserved header bytes are nonzero", 6)
-    dims = struct.unpack("<5I", rd.take(20, "dimensions"))
     _check_header(8, _check_dims, dims)
     m1, m2, n1, n2, l = dims
-    R = struct.unpack(f"<{l}I", rd.take(4 * l, "rank vector"))
+    pixels = m1 * m2 * n1 * n2
+    if pixels > MAX_PIXELS:
+        raise FormatError(f"{pixels} pixels exceed the cap of {MAX_PIXELS} (codec.MAX_PIXELS)", 8)
+    at = 28 + 4 * l
+    if len(data) < at:
+        raise FormatError("truncated container: expected rank vector", 28)
+    R = struct.unpack_from(f"<{l}I", data, 28)
     _check_header(28, _check_block_rank, R, l, min(m1, n1))
-    slices = []
-    for i, r in enumerate(R):
-        U = rd.matrix(m1, r, f"slice {i} left factor")
-        sigma = rd.array(r, "<f8", f"slice {i} singular values")
-        C = rd.matrix(m2, n2, f"slice {i} Kronecker factor")
-        V = rd.matrix(n1, r, f"slice {i} right factor")
-        slices.append(MatStpSvd(U=U, sigma=sigma, C=C, V=V))
-    if rd.pos != len(rd.data):
+    size = at + sum(math.prod(shape) * dtype.itemsize for *_, shape, dtype in _layout(dims, R))
+    if len(data) != size:
         raise FormatError(
-            f"{len(rd.data) - rd.pos} trailing bytes after factor payload", rd.pos
+            f"container is {len(data)} bytes, its header gives {size}", min(len(data), size)
         )
+    fields = [{} for _ in R]
+    for i, name, shape, dtype in _layout(dims, R):
+        flat = np.frombuffer(data, dtype, math.prod(shape), at)
+        if not np.isfinite(flat).all():
+            raise FormatError(f"slice {i} {name} contains NaN or Inf", at)
+        fields[i][name] = flat.astype(dtype.newbyteorder("=")).reshape(shape, order="F")
+        at += flat.nbytes
+    slices = [MatStpSvd(**f) for f in fields]
     return TensorStpSvd(slices=slices, real_input=bool(flags & FLAG_REAL_INPUT))

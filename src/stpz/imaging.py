@@ -124,7 +124,8 @@ def save_ppm(img: ImageBuffer) -> bytes:
     """Encode with the canonical header 'P6\\n<w> <h>\\n255\\n' (P5 for gray)."""
     magic = "P6" if img.channels == 3 else "P5"
     header = f"{magic}\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + np.ascontiguousarray(img.samples).tobytes()
+    # One copy of the samples: join reads the array's buffer directly.
+    return b"".join((header, np.ascontiguousarray(img.samples).data))
 
 
 def image_to_tensor(img: ImageBuffer) -> np.ndarray:

@@ -12,7 +12,13 @@ from helpers import rank_zero_container, textured_samples
 from stpz import cli, decomp
 from stpz.cli import main, run_method
 from stpz.codec import Method, deserialize, serialize, storage_count
-from stpz.decomp import decode_samples, reconstruct, tensor_stp_svd_trunc
+from stpz.decomp import (
+    MatStpSvd,
+    TensorStpSvd,
+    decode_samples,
+    reconstruct,
+    tensor_stp_svd_trunc,
+)
 from stpz.errors import DimensionError, NumericError
 from stpz.imaging import ImageBuffer, load_ppm, save_ppm, tensor_to_image
 from stpz.synthetic import structured_test_image
@@ -219,6 +225,22 @@ class TestExitCodes:
             assert captured.out == ""
             errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
             assert len(errors) == 1 and "offset 28" in errors[0]
+        assert not out.exists()
+
+    def test_container_over_the_pixel_cap_exit_4(self, tmp_path, capsys):
+        # 524,376 bytes that claim a 16385 x 16385 gray image, a 268 MB PGM:
+        # refused at the dims by the pixel cap, before any payload is read.
+        n = 16385
+        one = MatStpSvd(U=np.eye(n, 1), sigma=np.ones(1), C=np.ones((1, 1)), V=np.eye(n, 1))
+        packed, out = tmp_path / "big.stpz", tmp_path / "big.pgm"
+        packed.write_bytes(serialize(TensorStpSvd(slices=[one], real_input=True)))
+        assert packed.stat().st_size == 524_376
+        for argv in (["info"], ["decompress", "--output", str(out)]):
+            assert main([*argv, "--input", str(packed)]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+            assert len(errors) == 1 and "offset 8" in errors[0]
         assert not out.exists()
 
     def test_non_finite_container_exit_4(self, tmp_path, ppm_path, capsys):
@@ -507,9 +529,7 @@ class TestProgram:
         done = stpz("compress", "--input", ppm_path, "--m2", 5, "--n2", 4, "--rank", 2,
                     "--output", tmp_path / "x.stpz")
         assert done.returncode == 2 and done.stderr.startswith("error: m2 = 5 does not divide")
-        done = stpz("decompress", "--input", ppm_path, "--output", tmp_path / "x.ppm")
-        assert done.returncode == 4 and done.stderr.startswith("error: ")
-        assert not (tmp_path / "x.stpz").exists() and not (tmp_path / "x.ppm").exists()
+        assert not (tmp_path / "x.stpz").exists()
 
     def test_parser_is_built_once_and_handlers_are_looked_up_per_call(
         self, monkeypatch, tmp_path, ppm_path

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import cplx, rank_zero_container, same_bytes
+from stpz import codec
 from stpz.codec import (
     Method,
     compression_rate,
@@ -197,6 +198,29 @@ class TestContainer:
         with pytest.raises(FormatError, match="entry 0 out of range") as exc:
             deserialize(blob)
         assert exc.value.offset == 28
+
+    def test_pixel_cap_is_checked_at_the_dims(self, monkeypatch):
+        # At the cap a file decodes.  One pixel over, its header is refused at
+        # the dims, before the rank vector or the payload is read.
+        blob = serialize(random_factors(np.random.default_rng(12), 3, 2, 4, 2, [2, 1]))
+        monkeypatch.setattr(codec, "MAX_PIXELS", 3 * 2 * 4 * 2)
+        assert serialize(deserialize(blob)) == blob
+        monkeypatch.setattr(codec, "MAX_PIXELS", 3 * 2 * 4 * 2 - 1)
+        for data in (blob, blob[:28]):
+            with pytest.raises(FormatError, match="exceed the cap") as exc:
+                deserialize(data)
+            assert exc.value.offset == 8
+
+    def test_default_pixel_cap(self):
+        # 2 * Pillow's MAX_IMAGE_PIXELS: a header at the default cap passes
+        # the cap and fails on its missing payload; one pixel more fails at
+        # the dims.
+        assert codec.MAX_PIXELS == 178_956_970
+        for pixels, offset in ((codec.MAX_PIXELS, 32), (codec.MAX_PIXELS + 1, 8)):
+            header = struct.pack("<4sBBH6I", b"STPZ", 1, 0, 0, pixels, 1, 1, 1, 1, 1)
+            with pytest.raises(FormatError) as exc:
+                deserialize(header)
+            assert exc.value.offset == offset
 
     @given(
         dims=st.tuples(*[st.integers(0, 3)] * 5),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,6 +97,19 @@ class TestPpm:
         img = rand_image(rng, 5, 7, 3)
         back = load_ppm(save_ppm(img))
         assert np.array_equal(back.samples, img.samples)
+
+    def test_samples_are_copied_once(self):
+        # The encoded file is the one copy of a 3 MiB image's samples.
+        img = rand_image(np.random.default_rng(1), 1024, 1024, 3)
+        tracemalloc.start()
+        try:
+            out = save_ppm(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        header = b"P6\n1024 1024\n255\n"
+        assert out == header + img.samples.tobytes()
+        assert peak <= len(out) + len(header) + 2**20, peak / 2**20
 
     @given(
         h=st.integers(1, 8), w=st.integers(1, 8), c=st.sampled_from([1, 3]),

@@ -308,6 +308,23 @@ class TestLeadingTriplet:
         assert_allclose(f.U[:, 0], d.U[:, 0], atol=1e-13)
         assert_allclose(f.V[:, 0], d.V[:, 0], atol=1e-13)
 
+    def test_breakdown_stops_at_beta_zero(self, monkeypatch):
+        # One nonzero entry: A v_1 = alpha_1 u_1 exactly, so beta_1 is exactly
+        # 0.0 and the stopping test ends the process after one step at the
+        # default budget.  No basis vector is divided by beta = 0.
+        A = np.zeros((40, 30))
+        A[0, 0] = 3.0
+        seen, real = [], svd_module._reorthogonalize
+        monkeypatch.setattr(
+            svd_module, "_reorthogonalize", lambda x, basis: seen.append(real(x, basis)) or seen[-1]
+        )
+        f = leading_triplet(A)
+        assert svd_module._GKL_STEPS > 1
+        assert len(seen) == 2 and np.linalg.norm(seen[1]) == 0.0
+        assert f.sigma[0] == 3.0
+        assert np.array_equal(f.U[:, 0], np.eye(40)[0])
+        assert np.array_equal(f.V[:, 0], np.eye(30)[0])
+
     @pytest.mark.parametrize(
         "c",
         [2.0**-540, 1e-165, 1e-160, 1e160, 2.0**530],
