@@ -8,15 +8,16 @@ block-diagonal with blocks sigma_i * C of non-increasing Frobenius norm.
 
 Tensor route: every frontal slice of the mode-3 DFT of the tensor gets the
 matrix treatment.  The rearrangement permutes entries within a slice and the
-DFT mixes entries across slices, so the two commute: for a gray or RGB
-image one cache-blocked pass gathers the input's blocks, a chunk at a time,
-into a small float64 buffer and takes the DFT along the stack there, into
-one rearranged plane per Fourier slice.  Each plane is factored as it is:
-in real arithmetic, into real factors, where a real input's slice is
-self-conjugate (0, and l/2 for even l).  Of a real RGB image only slices 0
-and 1 are written; slice 2 is conj(slice 1), so its plane is slice 1's,
-conjugated in place once slice 1 has been factored (dft3's bytes, bar a
--0.0 sample of float input; see _stack_dft).
+DFT mixes entries across slices, so the two commute: the DFT along the
+stack is taken on the input's gathered blocks, into one rearranged plane
+per Fourier slice with dft3's bytes.  A gray image's plane is a casting
+copy; a uint8 RGB image's blocks are gathered once into int16, where the
+length-3 butterfly runs in place and exactly; any other input takes
+np.fft.fft.  Each plane is factored as it is: in real arithmetic, into real
+factors, where a real input's slice is self-conjugate (0, and l/2 for even
+l).  Of a uint8 RGB image only slices 0 and 1 are written; slice 2 is
+conj(slice 1), so its plane is slice 1's, conjugated in place once slice 1
+has been factored (see _stack_dft).
 Factors are kept in this compact Fourier-domain per-slice form (not expanded
 to spatial tensors); :func:`reconstruct` applies the single inverse DFT at
 the end, and :func:`decode_samples` takes an image's 8-bit samples
@@ -173,13 +174,6 @@ def _as_input(A) -> tuple[np.ndarray, bool]:
 # Twiddle factor sin(2 pi / 3) of the length-3 butterfly, as pocketfft has it.
 _SIN_2PI_3 = 0.8660254037844386
 
-# Entries per Fourier plane that one chunk of the RGB butterfly gathers and
-# transforms, so that its float64 buffers stay in cache.  Measured on 2 vCPU
-# (numpy 2.4), median of 40 front-end calls on uint8 RGB: 2^14 took 1.35 ms
-# at 512^2 (m2 = 8) and 4.5 ms at 1024^2 (m2 = 32), 2^15 within 4% of
-# that, 2^12 up to 1.4x and 2^16 up to 2.2x slower.
-_CHUNK = 1 << 14
-
 
 def _stack_dft(A: np.ndarray, m2: int, n2: int) -> list[np.ndarray]:
     """Unnormalized mode-3 DFT of an (m1*m2) x (n1*n2) x l array whose
@@ -194,59 +188,46 @@ def _stack_dft(A: np.ndarray, m2: int, n2: int) -> list[np.ndarray]:
     FFT path took 2.96 ms against the copy's 0.19 ms at 512², and 9.2 ms
     against 0.76 ms at 1024², about as long as the whole gray encode at
     R = 20 (1.8 and 7.1 ms; 2 vCPU, numpy 2.4.6, median of 21 calls).  A
-    real A of three (an RGB image) takes pocketfft's own butterfly in
-    float64, keeping its +-0.0 terms so that signed zeros match too, in one
-    pass over chunks of about ``_CHUNK`` entries per plane: each chunk of
-    block columns (or of the rows of one) is gathered from A into a small
-    float64 buffer and transformed there.  Only the half spectrum is
-    written, slices 0 and 1; slice 2 is conj(slice 1), whose plane the
-    caller makes from slice 1's in place with
-    ``np.subtract(0.0, P.imag, out=P.imag)``.  That gives
-    dft3's bytes except where A holds -0.0 samples: dft3 may then write a
-    zero real part of slice 2 as -0.0 where slice 1 has +0.0, and the
-    mirror keeps +0.0.  Integer samples cannot give -0.0.  Any other A goes
-    whole to np.fft.fft in complex128 (which it would otherwise keep in the
-    precision of a float32 input), for all l planes: there slice l - i is
-    not always the bitwise conjugate of slice i.
+    uint8 A of three slices (an RGB image) is gathered once into one int16
+    buffer, where the length-3 butterfly runs in place on small integers:
+    every term is exact, so the planes have dft3's bytes whatever order
+    pocketfft takes.  Only the half spectrum is written, slices 0 and 1;
+    slice 2 is conj(slice 1), whose plane the caller makes from slice 1's in
+    place with ``np.subtract(0.0, P.imag, out=P.imag)``, which keeps dft3's
+    +0.0 where ``np.conj`` would write -0.0.  Any other A, float RGB
+    included, goes whole to np.fft.fft in complex128 (which it would
+    otherwise keep in the precision of a float32 input), for all l planes,
+    which then have dft3's bytes.
     """
     m, n, l = A.shape
-    m1, n1 = m // m2, n // n2
+    shape = (m // m2 * (n // n2), m2 * n2)
     V = _block_view(A, m2, n2)
-    if A.dtype.kind == "c" or l not in (1, 3):
-        S = np.empty((l, m1 * n1, m2 * n2), dtype=np.complex128)
+    if l == 1 and A.dtype.kind != "c":
+        p0 = np.empty(shape)
+        p0.reshape(V.shape[1:])[...] = V[0]
+        return [p0]
+    if l != 3 or A.dtype != np.uint8:
+        S = np.empty((l,) + shape, dtype=np.complex128)
         S.reshape(V.shape)[...] = V
         return [
             np.ascontiguousarray(P.real) if A.dtype.kind != "c" and 2 * i % l == 0 else P
             for i, P in enumerate(np.fft.fft(S, axis=0))
         ]
-    p0 = np.empty((m1 * n1, m2 * n2))
-    if l == 1:
-        p0.reshape(V.shape[1:])[...] = V[0]
-        return [p0]
-    # t = x1 + x2, c = x0 - t/2, s = -sin(2 pi/3) (x1 - x2); the slices
-    # are x0 + t, (c + 0.0) + (0.0 + s)i and (c - 0.0) + (0.0 - s)i.
-    # c + 0.0 and 0.0 + s turn -0.0 into 0.0, and 0.0 - (0.0 + s) is
-    # 0.0 - s bit for bit.  A chunk is whole block columns, or rows of one.
-    p1 = np.empty((m1 * n1, m2 * n2), dtype=np.complex128)
-    rows = max(1, _CHUNK // (m2 * n2))
-    kj, ki = max(1, rows // m1), min(rows, m1)
-    buf = np.empty(4 * kj * ki * m2 * n2)
-    for j in range(0, n1, kj):
-        for i in range(0, m1, ki):
-            blk = V[:, j : j + kj, i : i + ki]
-            x = buf[: blk.size].reshape(blk.shape)
-            x[...] = blk
-            x0, x1, x2 = x.reshape(3, -1, m2 * n2)
-            r = slice(j * m1 + i, j * m1 + i + len(x0))
-            t = buf[blk.size : blk.size + x0.size].reshape(x0.shape)
-            np.add(x1, x2, out=t)
-            np.add(x0, t, out=p0[r])
-            t *= -0.5
-            np.add(x0, t, out=t)
-            np.add(t, 0.0, out=p1.real[r])
-            np.subtract(x1, x2, out=x1)
-            x1 *= -_SIN_2PI_3
-            np.add(x1, 0.0, out=p1.imag[r])
+    # With d = x2 - x1, t = x1 + x2 and c = 2 x0 - t, all within int16, the
+    # slices are x0 + t, c/2 + (d sin(2 pi/3))i and its conjugate.
+    x = np.empty((3,) + shape, dtype=np.int16)
+    x.reshape(V.shape)[...] = V
+    x0, x1, x2 = x
+    x2 -= x1
+    x1 *= 2
+    x1 += x2
+    p0 = np.empty(shape)
+    np.add(x0, x1, out=p0)
+    x0 *= 2
+    x0 -= x1
+    p1 = np.empty(shape, dtype=np.complex128)
+    np.multiply(x0, 0.5, out=p1.real)
+    np.multiply(x2, _SIN_2PI_3, out=p1.imag)
     return [p0, p1]
 
 
@@ -302,7 +283,7 @@ def tensor_stp_svd_trunc(A, m2: int, n2: int, R: Sequence[int]) -> TensorStpSvd:
     R = _check_block_rank(R, l, min(m1, n1))
     # planes[i] is the C-contiguous rearrangement of Fourier slice i (float64,
     # its real part, for a self-conjugate slice of real A), with no complex
-    # copy of A.  For real RGB there is none of slice 2: it is conj(slice 1),
+    # copy of A.  For uint8 RGB there is none of slice 2: it is conj(slice 1),
     # made from slice 1's plane in place once slice 1 has been factored.
     planes = _stack_dft(A, m2, n2)
     slices = []
@@ -358,7 +339,7 @@ def t_svd_trunc(A, R: Sequence[int]) -> TSvdFactors:
     R = _check_block_rank(R, n3, min(n1, n2))
     rmax = max(R)
     # Ah[i] is DFT slice i, a float64 plane where it is real; for real A only
-    # slices 0..n3//2 are read, and only those are there for real RGB.
+    # slices 0..n3//2 are read, and only those are there for uint8 RGB.
     Ah = _stack_dft(A, 1, n2)
     Uh = np.zeros((n1, rmax, n3), dtype=np.complex128)
     Sh = np.zeros((rmax, rmax, n3), dtype=np.complex128)
@@ -421,13 +402,14 @@ def _is_mirror(s: MatStpSvd, t: MatStpSvd) -> bool:
 
 
 def _decode_terms(F: TensorStpSvd):
-    """The terms of the real part of ``reconstruct(F)``, as (left, right,
-    imag).  ``left(a, b)`` is a (t, (b - a)*n1) float64 array for rows a:b of
-    the B factors, and right a (t, m2, n2*l) one, so that
-    left(0, m1).T @ right.reshape(t, -1) is the (m1*n1) x (m2*n2*l) plane
-    whose entry ((a, b), (c, d, k)) is spatial entry (a*m2 + c, b*n2 + d, k).
-    imag is the right side of the imaginary part, or None where that part is
-    exactly 0.
+    """The terms of the real part of ``reconstruct(F)``, as (left, right).
+    ``left(a, b)`` is a (t, (b - a)*n1) float64 array for rows a:b of the B
+    factors, and ``right(c, d)`` a pair: a (t, d - c, n2*l) float64 array for
+    rows c:d of the C factors, and the right side of the imaginary part
+    there, or None where that part is exactly 0.  So
+    left(0, m1).T @ right(0, m2)[0].reshape(t, -1) is the
+    (m1*n1) x (m2*n2*l) plane whose entry ((a, b), (c, d, k)) is spatial
+    entry (a*m2 + c, b*n2 + d, k).
 
     Entry (a*m2 + c, b*n2 + d) of B ⊗ C is B[a, b] C[c, d], and the inverse
     DFT is linear, so with row-major vec the plane is the sum over Fourier
@@ -451,28 +433,33 @@ def _decode_terms(F: TensorStpSvd):
     re = range(l // 2 + 1) if paired else range(l)
     g = [2 if paired and 2 * j % l else 1 for j in re]
     im = [j for j in re if not paired or 2 * j % l]
-    right = np.empty((len(re) + len(im), m2 * n2, l))
+    t = len(re) + len(im)
     with np.errstate(over="ignore", invalid="ignore"):
         US = [S[j].U * S[j].sigma for j in re]
-        wc = [S[j].C.reshape(-1, 1) * w[:, j] for j in re]
-        for t, j in enumerate(re):
-            right[t] = g[j] * wc[j].real
-        for t, j in enumerate(im, len(re)):
-            right[t] = -g[j] * wc[j].imag
-        imag = None if paired else np.stack([wc[j].imag for j in re] + [wc[j].real for j in im])
     Vh = [S[j].V.conj().T for j in re]
 
     def left(a: int, b: int) -> np.ndarray:
-        out = np.empty((len(right), (b - a) * n1))
+        out = np.empty((t, (b - a) * n1))
         B = [(US[j][a:b] @ Vh[j]).ravel() for j in re]
-        for t, j in enumerate(re):
-            out[t] = B[j].real
-        for t, j in enumerate(im, len(re)):
-            out[t] = B[j].imag
+        for k, j in enumerate(re):
+            out[k] = B[j].real
+        for k, j in enumerate(im, len(re)):
+            out[k] = B[j].imag
         return out
 
-    shape = (len(right), m2, n2 * l)
-    return left, right.reshape(shape), None if imag is None else imag.reshape(shape)
+    def right(c: int, d: int) -> tuple[np.ndarray, np.ndarray | None]:
+        out = np.empty((t, (d - c) * n2, l))
+        with np.errstate(over="ignore", invalid="ignore"):
+            wc = [S[j].C[c:d].reshape(-1, 1) * w[:, j] for j in re]
+            for k, j in enumerate(re):
+                out[k] = g[j] * wc[j].real
+            for k, j in enumerate(im, len(re)):
+                out[k] = -g[j] * wc[j].imag
+            imag = None if paired else np.stack([wc[j].imag for j in re] + [wc[j].real for j in im])
+        shape = (t, d - c, n2 * l)
+        return out.reshape(shape), None if imag is None else imag.reshape(shape)
+
+    return left, right
 
 
 # Plane entries that one band of the decoder computes, checks and rounds, so
@@ -504,10 +491,11 @@ def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
     R[j] != R[l - j], gets a Re and an Im term per slice, and its residue is
     measured.
 
-    No complex (m, n, l) tensor and no whole plane: one loop over bands of
-    about ``_BAND`` entries of the rearranged real plane (whole blocks of
-    output rows, or rows of one block) takes each band's real GEMM of
-    :func:`_decode_terms`, checks it, rounds it in place by
+    No complex (m, n, l) tensor, no whole plane and no whole right side:
+    one loop over bands of about ``_BAND`` entries of the rearranged real
+    plane (whole blocks of output rows, or rows of one block) takes each
+    band's real GEMM of :func:`_decode_terms`, from the terms of its rows
+    of the B and C factors, checks it, rounds it in place by
     ``tensor_to_image``'s rule and un-rearranges it into its output rows,
     with the companion GEMM's maximum where an imaginary part is measured.
     The plane agrees with ``reconstruct(F).real`` to roundoff, so a sample
@@ -520,21 +508,23 @@ def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
     m1, m2, n1, n2, l = F.dims
     if l not in (1, 3):
         raise DimensionError(f"expected 1 or 3 slices, got {l}")
-    left, right, imag = _decode_terms(F)
+    left, right = _decode_terms(F)
     out = np.empty((m1 * m2, n1 * n2, l), dtype=np.uint8)
     # Output rows per band: whole blocks of m2 rows, or rows of one block.
-    rows = max(1, _BAND // (n1 * n2 * l))
+    # A band's right side has up to 2l rows where the plane has n1, so a
+    # band is cut to fit the larger of the two in _BAND entries.
+    rows = max(1, _BAND // (max(n1, 2 * l) * n2 * l))
     ka, kc = (rows // m2, m2) if rows >= m2 else (1, rows)
     residue = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, m1, ka):
-            L = left(a, min(a + ka, m1)).T
-            for c in range(0, m2, kc):
-                Rb = right[:, c : c + kc]
+        for c in range(0, m2, kc):
+            Rb, Ib = right(c, min(c + kc, m2))
+            for a in range(0, m1, ka):
+                L = left(a, min(a + ka, m1)).T
                 # np.dot: matmul skips BLAS for one term (a gray image's).
                 x = np.dot(L, Rb.reshape(len(Rb), -1))
-                if imag is not None:
-                    y = np.dot(L, imag[:, c : c + kc].reshape(len(Rb), -1))
+                if Ib is not None:
+                    y = np.dot(L, Ib.reshape(len(Rb), -1))
                     # The band's values first: max keeps a NaN it meets first.
                     residue = max(y.max(), -y.min(), residue)
                 if not (math.isfinite(residue) and np.isfinite(x).all()):

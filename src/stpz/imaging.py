@@ -43,12 +43,26 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 
 @dataclass(eq=False)
 class ImageBuffer:
-    """8-bit raster image; ``samples`` is uint8 (height, width, channels)."""
+    """8-bit raster image; ``samples`` is uint8 (height, width, channels).
+
+    A uint8 array is kept as it is, and an integer or bool one is cast when
+    all its values lie in 0..255; any other dtype or value raises
+    DimensionError rather than wrapping.
+    """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.uint8)
+        x = np.asarray(self.samples)
+        if x.dtype != np.uint8:
+            if x.dtype.kind not in "biu":
+                raise DimensionError(f"samples must be integers in 0..255, got dtype {x.dtype}")
+            if x.size and (x.min() < 0 or x.max() > 255):
+                raise DimensionError(
+                    f"samples must lie in 0..255, got values in [{x.min()}, {x.max()}]"
+                )
+            x = x.astype(np.uint8)
+        self.samples = x
         if self.samples.ndim != 3 or self.samples.shape[2] not in (1, 3):
             raise DimensionError(
                 f"samples must be (height, width, 1|3), got {self.samples.shape}"

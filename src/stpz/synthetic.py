@@ -17,11 +17,12 @@ from .nkp import _split
 
 __all__ = ["structured_test_image"]
 
-# Image entries per channel that one band of the inverse butterfly writes,
-# so that its float64 temporaries stay in cache.  Measured on 2 vCPU (numpy
-# 2.4), median of 5-9 calls: 2^14 took 9.1 ms at 512^2 (m2 = 8), 27.2 ms at
-# 1024^2 and 118 ms at 2048^2 (m2 = 32), 2^13 and 2^15 within 21% of that,
-# 2^12 up to 1.4x slower, and one band of the whole image 12, 40 and 222 ms.
+# Image entries per channel that one band of the inverse butterfly writes
+# (whole rows of B2, so at least m2 image rows), so that its temporaries
+# stay in cache.  Measured on 2 vCPU (numpy 2.4), median of 5-9 calls:
+# 2^14 took 9.1 ms at 512^2 (m2 = 8), 27.2 ms at 1024^2 and 118 ms at
+# 2048^2 (m2 = 32), 2^13 and 2^15 within 21% of that, 2^12 up to 1.4x
+# slower, and one band of the whole image 12, 40 and 222 ms.
 _BAND = 1 << 14
 
 
@@ -62,9 +63,10 @@ def structured_test_image(
 
     Slice 0 is a real M1 = B1 ⊗ C1 and slice 2 is conj(slice 1), with
     slice 1 = M2 = B2 ⊗ C2, so the image is real and only the half
-    spectrum is built: the length-3 inverse DFT is pocketfft's backward
-    butterfly in real arithmetic, run over bands of rows that are rounded
-    straight into the uint8 output.  The samples are bitwise those of
+    spectrum is built, and M2 only band by band: the length-3 inverse DFT
+    is pocketfft's backward butterfly in real arithmetic, run over bands of
+    rows that are rounded straight into the uint8 output.  The samples are
+    bitwise those of
     ``tensor_to_image(idft3(np.stack([M1, M2, conj(M2)], axis=2)).real)``,
     with no complex (m, n, 3) tensor.
     """
@@ -85,20 +87,23 @@ def structured_test_image(
     M1 *= 3.0 * 205.0 / M1.max()
 
     # Oscillating slice, amplitude capped to stay well inside 8-bit range.
-    M2 = np.kron(
-        _rank_k(rng, m1, n1, rank, complex_=True),
-        _rank_k(rng, m2, n2, min(rank, m2), complex_=True),
-    )
-    M2 *= 58.0 / np.abs(M2).max()
+    # M2 = B2 ⊗ C2 is formed band by band from whole rows of B2: one pass
+    # for its largest modulus, one for the output.
+    B2 = _rank_k(rng, m1, n1, rank, complex_=True)
+    C2 = _rank_k(rng, m2, n2, min(rank, m2), complex_=True)
+    kb = max(1, _BAND // (width * m2))
+    bands = [slice(i, i + kb) for i in range(0, m1, kb)]
+    scale = 58.0 / max(np.abs(np.kron(B2[i], C2)).max() for i in bands)
 
     # With a, b = Re, Im of M2, the butterfly's sums are t1 = 2a and
     # t2 = 2bi, and the real parts of its outputs are y0 = (M1 + 2a) / 3 and
     # y1, y2 = (ca +- cb) / 3, with ca = M1 + 2a (-1/2), cb = -2b sin(2 pi/3).
     out = np.empty((height, width, 3), dtype=np.uint8)
-    rows = max(1, _BAND // width)
-    for r in range(0, height, rows):
-        band = slice(r, r + rows)
-        x0, a, b = M1[band], M2.real[band], M2.imag[band]
+    for i in bands:
+        band = slice(i.start * m2, i.stop * m2)
+        M2 = np.kron(B2[i], C2)
+        M2 *= scale
+        x0, a, b = M1[band], M2.real, M2.imag
         t1 = a + a
         y = x0 + t1
         y *= 1 / 3

@@ -10,15 +10,18 @@ codes, printing exactly one ``error:`` line when it fails.
 
 import contextlib
 import io
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import cplx
 from stpz import cli
 from stpz.codec import deserialize, serialize
-from stpz.decomp import tensor_stp_svd_trunc
+from stpz.decomp import MatStpSvd, TensorStpSvd, decode_samples, tensor_stp_svd_trunc
 from stpz.errors import FormatError
 from stpz.imaging import ImageBuffer, load_ppm, save_ppm
 
@@ -80,6 +83,88 @@ def test_deserialize_rejects_or_round_trips(data):
     except FormatError:
         return
     assert serialize(F) == blob
+
+
+def assert_decode_peak_is_bounded(blob: bytes) -> bool:
+    """Whether ``deserialize`` accepts ``blob``; if it does, the traced peak
+    of it plus ``decode_samples`` must stay within the decoded image's bytes,
+    twice the input's (the bytes and the factors parsed from them) and
+    6 MiB, the decoder's few bands."""
+    tracemalloc.start()
+    try:
+        try:
+            F = deserialize(blob)
+        except FormatError:
+            return False
+        with contextlib.suppress(FormatError):  # factors whose product overflows
+            decode_samples(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m1, m2, n1, n2, l = F.dims
+    bound = m1 * m2 * n1 * n2 * l + 2 * len(blob) + 6 * 2**20
+    assert peak <= bound, (F.dims, F.block_rank, peak / 2**20, bound / 2**20)
+    return True
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=100)
+def test_decode_peak_of_mutated_containers(data):
+    assert_decode_peak_is_bounded(mutate(data, STPZ, STPZ_HEADER, 4))
+
+
+@given(
+    l=st.sampled_from([1, 3]),
+    m=st.integers(1, 1024),
+    n=st.integers(1, 1024),
+    m2=st.integers(1, 1024),
+    n2=st.integers(1, 1024),
+    ranks=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    paired=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(l=3, m=1024, n=1024, m2=1, n2=1, ranks=[3, 3, 3], paired=False, seed=0)
+@example(l=3, m=1024, n=1024, m2=32, n2=1, ranks=[1, 2, 2], paired=True, seed=0)
+@example(l=1, m=1024, n=1024, m2=1, n2=1024, ranks=[1, 1, 1], paired=False, seed=0)
+@example(l=3, m=30, n=550, m2=30, n2=550, ranks=[1, 1, 1], paired=False, seed=0)
+@example(l=3, m=64, n=1024, m2=64, n2=1024, ranks=[1, 1, 1], paired=False, seed=0)
+@settings(deadline=None, max_examples=25)
+def test_decode_peak_of_random_containers(l, m, n, m2, n2, ranks, paired, seed):
+    # Finite random factors of an m x n image whose blocks are m2 x n2 (m2
+    # and n2 cut down to divisors); paired, slice 0 is real and slice 2 is
+    # conj(slice 1), which the decoder takes as one term.  With one block
+    # (m1 = n1 = 1) the C factors hold the whole image, so the decoder must
+    # take their terms band by band too.
+    m2, n2 = math.gcd(m, m2), math.gcd(n, n2)
+    m1, n1 = m // m2, n // n2
+    R = [min(r, m1, n1) for r in ranks[:l]]
+    rng = np.random.default_rng(seed)
+    slices = [
+        MatStpSvd(
+            U=cplx(rng, m1, r), sigma=rng.uniform(0, 9, r), C=cplx(rng, m2, n2), V=cplx(rng, n1, r)
+        )
+        for r in R
+    ]
+    if paired:
+        s = slices[0]
+        slices[0] = MatStpSvd(U=s.U.real, sigma=s.sigma, C=s.C.real, V=s.V.real)
+        if l == 3:
+            s = slices[1]
+            slices[2] = MatStpSvd(U=s.U.conj(), sigma=s.sigma, C=s.C.conj(), V=s.V.conj())
+    assert assert_decode_peak_is_bounded(serialize(TensorStpSvd(slices=slices, real_input=True)))
+
+
+def test_decode_peak_of_a_large_image_from_a_small_file():
+    # 192,112 bytes of rank-1 factors decode to a 2000 x 2000 RGB image of
+    # 12,000,000 bytes: valid, and decoded within the same bound.
+    rng = np.random.default_rng(84)
+    slices = [
+        MatStpSvd(U=cplx(rng, 2000, 1), sigma=np.ones(1), C=cplx(rng, 1, 1), V=cplx(rng, 2000, 1))
+        for _ in range(3)
+    ]
+    blob = serialize(TensorStpSvd(slices=slices, real_input=True))
+    assert len(blob) == 192_112
+    assert assert_decode_peak_is_bounded(blob)
 
 
 @pytest.mark.parametrize("name", ["ppm", "pgm"])

@@ -164,6 +164,23 @@ class TestPpm:
         assert exc.value.offset == 10
 
 
+class TestImageBuffer:
+    def test_samples_out_of_range_or_not_integer_raise(self):
+        # np.asarray(..., dtype=np.uint8) would wrap these to [44, 255, 2]
+        # and [0, 255, 3].
+        with pytest.raises(DimensionError, match="integers in 0..255, got dtype float64"):
+            ImageBuffer(np.array([[[300.0, -1.0, 2.7]]]))
+        with pytest.raises(DimensionError, match=r"lie in 0..255, got values in \[-1, 256\]"):
+            ImageBuffer(np.array([[[256, -1, 3]]], dtype=np.int64))
+
+    def test_uint8_is_kept_and_integers_in_range_are_cast(self):
+        x = np.zeros((2, 3, 1), dtype=np.uint8)
+        assert ImageBuffer(x).samples is x
+        for y in (np.array([[[0, 255, 3]]], dtype=np.int64), np.ones((1, 1, 3), dtype=bool)):
+            got = ImageBuffer(y).samples
+            assert same_bytes(got, y.astype(np.uint8))
+
+
 class TestTensorConversion:
     def test_roundtrip_bitwise(self):
         rng = np.random.default_rng(1)

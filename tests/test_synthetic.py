@@ -87,12 +87,14 @@ def test_large_images_equal_the_reference(size, m2):
 
 
 def test_traced_peak_at_1024():
-    # The (m, n, 3) complex spectrum alone would be 48 MiB; the reference
-    # construction peaks at about 155 MiB.
+    # The (m, n, 3) complex spectrum alone would be 48 MiB, and the reference
+    # construction peaks at about 155 MiB.  A whole complex M2 and its
+    # modulus are 24 MiB; built band by band, the peak is the 8 MiB real M1,
+    # the 3 MiB output and a few bands.
     tracemalloc.start()
     try:
         structured_test_image(1024, 1024, 32, 32, rank=4, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 40 * 2**20
+    assert peak <= 16 * 2**20, peak / 2**20
