@@ -69,7 +69,7 @@ class Method(str, Enum):
 def _ranks(r, l: int, method: Method, rmax: int) -> list[int]:
     if r is None:
         raise DimensionError(f"method {method.value} requires a truncation rank")
-    return _check_block_rank([r] * l if isinstance(r, (int, np.integer)) else r, l, rmax)
+    return _check_block_rank([r] * l if np.ndim(r) == 0 else r, l, rmax)
 
 
 def storage_count(

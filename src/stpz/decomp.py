@@ -149,13 +149,16 @@ def _check_dims(dims: Sequence[int]) -> None:
 
 
 def _check_block_rank(R: Sequence[int], l: int, rmax: int) -> list[int]:
-    R = [int(r) for r in R]
+    # A float entry is refused, not truncated; bool subclasses int, so it is
+    # refused by type.
     if len(R) != l:
         raise DimensionError(f"block rank has length {len(R)}, expected {l}")
     for r in R:
+        if type(r) is bool or not isinstance(r, (int, np.integer)):
+            raise DimensionError(f"block rank entry {r!r} is not an integer")
         if not 1 <= r <= rmax:
             raise DimensionError(f"block rank entry {r} out of range [1, {rmax}]")
-    return R
+    return [int(r) for r in R]
 
 
 def _is_real(A: np.ndarray) -> bool:

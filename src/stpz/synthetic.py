@@ -1,8 +1,10 @@
 """Deterministic synthetic images with exact low-rank Kronecker structure.
 
 The generated tensor has mode-3 DFT slices of the form B_i ⊗ C_i with
-rank(B_i) equal to a requested value, scaled into 8-bit range and quantized.
-A truncated semi-tensor decomposition at that block rank should therefore
+rank(B_i) equal to a requested value, scaled into 8-bit range.  The image is
+built as such a factorization, and its samples are those that
+:func:`~stpz.decomp.decode_samples`, the one STP decoder, takes from it.  A
+truncated semi-tensor decomposition at that block rank should therefore
 reproduce the image up to quantization noise, which makes these images a
 sharp end-to-end check of the compression pipeline.
 """
@@ -11,19 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomp import _SIN_2PI_3, _check_block_rank
-from .imaging import ImageBuffer, _round_samples
+from .decomp import MatStpSvd, TensorStpSvd, _check_block_rank, decode_samples
+from .imaging import ImageBuffer
 from .nkp import _split
+from .svd import svd
 
 __all__ = ["structured_test_image"]
-
-# Image entries per channel that one band of the inverse butterfly writes
-# (whole rows of B2, so at least m2 image rows), so that its temporaries
-# stay in cache.  Measured on 2 vCPU (numpy 2.4), median of 5-9 calls:
-# 2^14 took 9.1 ms at 512^2 (m2 = 8), 27.2 ms at 1024^2 and 118 ms at
-# 2048^2 (m2 = 32), 2^13 and 2^15 within 21% of that, 2^12 up to 1.4x
-# slower, and one band of the whole image 12, 40 and 222 ms.
-_BAND = 1 << 14
 
 
 def _smooth(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -62,59 +57,42 @@ def structured_test_image(
     [0, 255] before quantization.
 
     Slice 0 is a real M1 = B1 ⊗ C1 and slice 2 is conj(slice 1), with
-    slice 1 = M2 = B2 ⊗ C2, so the image is real and only the half
-    spectrum is built, and M2 only band by band: the length-3 inverse DFT
-    is pocketfft's backward butterfly in real arithmetic, run over bands of
-    rows that are rounded straight into the uint8 output.  The samples are
-    bitwise those of
-    ``tensor_to_image(idft3(np.stack([M1, M2, conj(M2)], axis=2)).real)``,
-    with no complex (m, n, 3) tensor.
+    slice 1 = M2 = B2 ⊗ C2, so the image is real.  The samples are
+    ``decode_samples`` of the rank-``rank`` paired factorization of those
+    slices (each B by its SVD, slice 2's factors slice 1's conjugated), so
+    no Kronecker product or complex tensor is formed.  They equal those of
+    ``tensor_to_image(idft3(np.stack([M1, M2, conj(M2)], axis=2)).real)``
+    except where that lies within roundoff of a k + 0.5 tie; the tests
+    check bitwise equality on 102 images.
     """
     m1, n1 = _split(height, width, m2, n2)
     _check_block_rank([rank], 1, min(m1, n1))
     rng = np.random.default_rng(seed)
 
     # DC slice: dominant positive rank-1 component plus small extra terms so
-    # every sample stays in a [50, 205] brightness band after scaling.
+    # every sample stays in a [50, 205] brightness band after scaling.  For
+    # positive factors max(B1 ⊗ C1) is max B1 * max C1, bit for bit, since
+    # rounding is monotone, so the scale goes into C1.
     pos_u = 1.0 + 0.2 * _smooth(rng, m1)
     pos_v = 1.0 + 0.2 * _smooth(rng, n1)
     B1 = np.outer(pos_u, pos_v) + 0.04 * _rank_k(rng, m1, n1, rank - 1, complex_=False)
     C1 = np.outer(1.0 + 0.2 * _smooth(rng, m2), 1.0 + 0.2 * _smooth(rng, n2))
     C1 += 0.02 * _rank_k(rng, m2, n2, min(rank, m2) - 1, False)
-    M1 = np.kron(B1, C1)
-    if M1.min() <= 0.0:
+    if min(B1.min(), C1.min()) <= 0.0:
         raise AssertionError("DC slice lost positivity; adjust perturbation scale")
-    M1 *= 3.0 * 205.0 / M1.max()
+    C1 *= 3.0 * 205.0 / (B1.max() * C1.max())
 
-    # Oscillating slice, amplitude capped to stay well inside 8-bit range.
-    # M2 = B2 ⊗ C2 is formed band by band from whole rows of B2: one pass
-    # for its largest modulus, one for the output.
+    # Oscillating slice, amplitude capped to stay well inside 8-bit range:
+    # max |B2 ⊗ C2| is max |B2| * max |C2| in exact arithmetic.
     B2 = _rank_k(rng, m1, n1, rank, complex_=True)
     C2 = _rank_k(rng, m2, n2, min(rank, m2), complex_=True)
-    kb = max(1, _BAND // (width * m2))
-    bands = [slice(i, i + kb) for i in range(0, m1, kb)]
-    scale = 58.0 / max(np.abs(np.kron(B2[i], C2)).max() for i in bands)
+    C2 *= 58.0 / (np.abs(B2).max() * np.abs(C2).max())
 
-    # With a, b = Re, Im of M2, the butterfly's sums are t1 = 2a and
-    # t2 = 2bi, and the real parts of its outputs are y0 = (M1 + 2a) / 3 and
-    # y1, y2 = (ca +- cb) / 3, with ca = M1 + 2a (-1/2), cb = -2b sin(2 pi/3).
-    out = np.empty((height, width, 3), dtype=np.uint8)
-    for i in bands:
-        band = slice(i.start * m2, i.stop * m2)
-        M2 = np.kron(B2[i], C2)
-        M2 *= scale
-        x0, a, b = M1[band], M2.real, M2.imag
-        t1 = a + a
-        y = x0 + t1
-        y *= 1 / 3
-        _round_samples(y, out[band, :, 0])
-        t1 *= -0.5
-        ca = np.add(x0, t1, out=t1)
-        cb = b + b
-        np.negative(cb, out=cb)
-        cb *= _SIN_2PI_3
-        for k, combine in ((1, np.add), (2, np.subtract)):
-            combine(ca, cb, out=y)
-            y *= 1 / 3
-            _round_samples(y, out[band, :, k])
-    return ImageBuffer(out)
+    def factors(B: np.ndarray, C: np.ndarray) -> MatStpSvd:
+        f = svd(B)
+        return MatStpSvd(U=f.U[:, :rank], sigma=f.sigma[:rank], C=C, V=f.V[:, :rank])
+
+    S1 = factors(B2, C2)
+    S2 = MatStpSvd(U=S1.U.conj(), sigma=S1.sigma, C=S1.C.conj(), V=S1.V.conj())
+    F = TensorStpSvd(slices=(factors(B1, C1), S1, S2), real_input=True)
+    return ImageBuffer(decode_samples(F)[0])

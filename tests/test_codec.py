@@ -79,6 +79,9 @@ class TestStorageFormulas:
         ]:
             with pytest.raises(DimensionError):
                 storage_count(method, 2, 2, 2, 2, l, r)
+        # A missing rank is named as such, not as a non-integer entry.
+        with pytest.raises(DimensionError, match="^method trunc_stpsvd requires a truncation rank$"):
+            storage_count(Method.TRUNC_STPSVD, 2, 2, 2, 2, 3)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method 'bogus'"):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import cplx, rel_err, same_bytes, textured_samples
-from stpz.codec import deserialize, serialize
+from stpz.codec import Method, deserialize, serialize, storage_count
 from stpz.decomp import (
     IMAG_TOL,
     MatStpSvd,
@@ -28,6 +28,7 @@ from stpz.errors import DimensionError
 from stpz.imaging import tensor_to_image
 from stpz.nkp import nkp, rearrange
 from stpz.svd import SvdResult, svd
+from stpz.synthetic import structured_test_image
 from stpz.tensor import (
     dft3,
     frobenius_norm,
@@ -224,6 +225,12 @@ class TestTensorStpSvd:
         assert np.max(np.abs(out.imag)) <= 1e-9 * frobenius_norm(A)
         assert not tensor_stp_svd(A + 1j, 2, 2).real_input
 
+    def test_nested_lists_are_tensors(self):
+        A = textured_samples(np.random.default_rng(8), 24, 16, 3)
+        F, G = tensor_stp_svd(A.tolist(), 3, 2), tensor_stp_svd(A, 3, 2)
+        assert F.block_rank == G.block_rank
+        assert rel_err(reconstruct(F), reconstruct(G)) <= 1e-12
+
 
 class TestTensorStpSvdTrunc:
     def test_full_rank_equals_untruncated(self):
@@ -284,6 +291,32 @@ class TestTensorStpSvdTrunc:
             tensor_stp_svd_trunc(A, 2, 2, [0, 1, 1])
 
 
+def test_ranks_must_be_integers():
+    # A float or bool entry was truncated by int() (2.7 factored at rank 2,
+    # True at 1), or met a bare TypeError later; it is now refused by name.
+    img = textured_samples(np.random.default_rng(7), 24, 24, 3)
+    with pytest.raises(DimensionError, match=r"^block rank entry 2\.7 is not an integer$"):
+        tensor_stp_svd_trunc(img, 4, 4, [2.7, 2, True])
+    with pytest.raises(DimensionError, match=r"^block rank entry True is not an integer$"):
+        tensor_stp_svd_trunc(img, 4, 4, [2, 2, True])
+    with pytest.raises(DimensionError, match=r"entry 2\.9 is not"):
+        t_svd_trunc(img, [2.9, 1.5, 1.5])
+    with pytest.raises(DimensionError, match=r"entry 2\.5 is not"):
+        storage_count(Method.TRUNC_STPSVD, 6, 4, 6, 4, 3, [2.5, 2, 2])
+    with pytest.raises(DimensionError, match=r"entry 2\.5 is not"):
+        storage_count(Method.TRUNC_STPSVD, 6, 4, 6, 4, 3, 2.5)
+    with pytest.raises(DimensionError, match=r"entry 2\.5 is not"):
+        mat_stp_svd_trunc(img[:, :, 0], 4, 4, 2.5)
+    with pytest.raises(DimensionError, match=r"entry 2\.5 is not"):
+        structured_test_image(rank=2.5)
+    # NumPy integers are ranks, as entries and as a scalar.
+    R = np.array([2, 2, 1])
+    assert tensor_stp_svd_trunc(img, 4, 4, R).block_rank == [2, 2, 1]
+    assert t_svd_trunc(img, R).U.shape[1] == 2
+    count = storage_count(Method.TRUNC_STPSVD, 6, 4, 6, 4, 3, np.int64(2))
+    assert count == storage_count(Method.TRUNC_STPSVD, 6, 4, 6, 4, 3, 2)
+
+
 class TestTSvd:
     def test_identity_tensor(self):
         I = identity_tensor(3, 2)
@@ -307,6 +340,23 @@ class TestTSvd:
         assert is_unitary_tensor(F.U, 1e-9)
         assert is_unitary_tensor(F.V, 1e-9)
         assert is_f_diagonal(F.S, 1e-10)
+
+    def test_phase_convention(self):
+        # In each Fourier slice the largest-modulus entry of each leading left
+        # column is real and positive, as svd's _fix_phases makes it.
+        A = cplx(np.random.default_rng(26), 6, 4, 3)
+        Uh = dft3(t_svd(A).U)
+        for i in range(3):
+            U = Uh[:, :4, i]
+            top = U[np.argmax(np.abs(U), axis=0), np.arange(4)]
+            assert np.all(top.real > 0)
+            assert np.abs(top.imag).max() <= 1e-12
+
+    def test_nested_lists_are_tensors(self):
+        A = cplx(np.random.default_rng(27), 4, 3, 2)
+        F, G = t_svd(A.tolist()), t_svd(A)
+        assert rel_err(reconstruct(F), reconstruct(G)) <= 1e-12
+        assert rel_err(F.U, G.U) <= 1e-12
 
     def test_trunc_tail_energy(self):
         rng = np.random.default_rng(20)
