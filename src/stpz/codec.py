@@ -146,10 +146,10 @@ def _check_header(at: int, check, *args) -> None:
 
 
 def deserialize(data: bytes) -> TensorStpSvd:
-    """Decode an STPZ v1 container; exact inverse of :func:`serialize`.  The
-    header, the pixel cap and the file's exact length are checked before any
-    payload byte is read."""
-    data = bytes(data)
+    """Decode an STPZ v1 container, bytes or any bytes-like object; exact
+    inverse of :func:`serialize`.  The header, the pixel cap and the file's
+    exact length are checked before any payload byte is read, and each field
+    is copied out of ``data``."""
     if data[:4] != MAGIC:
         raise FormatError("bad magic, not an STPZ container", 0)
     if len(data) < 28:

@@ -15,9 +15,10 @@ copy; a uint8 RGB image's blocks are gathered once into int16, where the
 length-3 butterfly runs in place and exactly; any other input takes
 np.fft.fft.  Each plane is factored as it is: in real arithmetic, into real
 factors, where a real input's slice is self-conjugate (0, and l/2 for even
-l).  Of a uint8 RGB image only slices 0 and 1 are written; slice 2 is
-conj(slice 1), so its plane is slice 1's, conjugated in place once slice 1
-has been factored (see _stack_dft).
+l).  The planes come from one iterator, slice by slice (see _stack_dft);
+of a uint8 RGB image it computes slices 0 and 1, and yields slice 2, which
+is conj(slice 1), as slice 1's plane conjugated in place once the consumer
+has moved past slice 1.
 Factors are kept in this compact Fourier-domain per-slice form (not expanded
 to spatial tensors); :func:`reconstruct` applies the single inverse DFT at
 the end, and :func:`decode_samples` takes an image's 8-bit samples
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -178,46 +179,12 @@ def _as_input(A) -> tuple[np.ndarray, bool]:
 _SIN_2PI_3 = 0.8660254037844386
 
 
-def _stack_dft(A: np.ndarray, m2: int, n2: int) -> list[np.ndarray]:
-    """Unnormalized mode-3 DFT of an (m1*m2) x (n1*n2) x l array whose
-    blocks tile it, rearranged: one C-contiguous (m1*n1, m2*n2) plane per
-    Fourier slice with the bytes of ``rearrange(dft3(A)[:, :, i], m2, n2)``,
-    float64, its real part, for a real A's slices i = -i (mod l).  At m2 = 1,
-    n2 = n the rearrangement is the identity, so the planes are the slices.
-
-    numpy's FFT pays tens of ns per tube, which dominates for the length-3
-    tubes of an RGB image.  So a real A of one slice (a gray image) is one
-    casting copy into its float64 plane: on uint8 gray at m2 = 8 the general
-    FFT path took 2.96 ms against the copy's 0.19 ms at 512², and 9.2 ms
-    against 0.76 ms at 1024², about as long as the whole gray encode at
-    R = 20 (1.8 and 7.1 ms; 2 vCPU, numpy 2.4.6, median of 21 calls).  A
-    uint8 A of three slices (an RGB image) is gathered once into one int16
-    buffer, where the length-3 butterfly runs in place on small integers:
-    every term is exact, so the planes have dft3's bytes whatever order
-    pocketfft takes.  Only the half spectrum is written, slices 0 and 1;
-    slice 2 is conj(slice 1), whose plane the caller makes from slice 1's in
-    place with ``np.subtract(0.0, P.imag, out=P.imag)``, which keeps dft3's
-    +0.0 where ``np.conj`` would write -0.0.  Any other A, float RGB
-    included, goes whole to np.fft.fft in complex128 (which it would
-    otherwise keep in the precision of a float32 input), for all l planes,
-    which then have dft3's bytes.
-    """
-    m, n, l = A.shape
-    shape = (m // m2 * (n // n2), m2 * n2)
-    V = _block_view(A, m2, n2)
-    if l == 1 and A.dtype.kind != "c":
-        p0 = np.empty(shape)
-        p0.reshape(V.shape[1:])[...] = V[0]
-        return [p0]
-    if l != 3 or A.dtype != np.uint8:
-        S = np.empty((l,) + shape, dtype=np.complex128)
-        S.reshape(V.shape)[...] = V
-        return [
-            np.ascontiguousarray(P.real) if A.dtype.kind != "c" and 2 * i % l == 0 else P
-            for i, P in enumerate(np.fft.fft(S, axis=0))
-        ]
-    # With d = x2 - x1, t = x1 + x2 and c = 2 x0 - t, all within int16, the
-    # slices are x0 + t, c/2 + (d sin(2 pi/3))i and its conjugate.
+def _rgb_half_spectrum(V: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    # The planes of slices 0 and 1 of a uint8 RGB image's block view V.  With
+    # d = x2 - x1, t = x1 + x2 and c = 2 x0 - t, all within int16, the slices
+    # are x0 + t, c/2 + (d sin(2 pi/3))i and its conjugate.  Outside
+    # _stack_dft, whose frame lives while its planes are factored, the int16
+    # buffer is freed on return.
     x = np.empty((3,) + shape, dtype=np.int16)
     x.reshape(V.shape)[...] = V
     x0, x1, x2 = x
@@ -231,7 +198,54 @@ def _stack_dft(A: np.ndarray, m2: int, n2: int) -> list[np.ndarray]:
     p1 = np.empty(shape, dtype=np.complex128)
     np.multiply(x0, 0.5, out=p1.real)
     np.multiply(x2, _SIN_2PI_3, out=p1.imag)
-    return [p0, p1]
+    return p0, p1
+
+
+def _stack_dft(A: np.ndarray, m2: int, n2: int) -> Iterator[np.ndarray]:
+    """Unnormalized mode-3 DFT of an (m1*m2) x (n1*n2) x l array whose
+    blocks tile it, rearranged: yields one C-contiguous (m1*n1, m2*n2) plane
+    per Fourier slice, in slice order, with the bytes of
+    ``rearrange(dft3(A)[:, :, i], m2, n2)``, float64, its real part, for a
+    real A's slices i = -i (mod l).  At m2 = 1, n2 = n the rearrangement is
+    the identity, so the planes are the slices.
+
+    numpy's FFT pays tens of ns per tube, which dominates for the length-3
+    tubes of an RGB image.  So a real A of one slice (a gray image) is one
+    casting copy into its float64 plane: on uint8 gray at m2 = 8 the general
+    FFT path took 2.96 ms against the copy's 0.19 ms at 512², and 9.2 ms
+    against 0.76 ms at 1024², about as long as the whole gray encode at
+    R = 20 (1.8 and 7.1 ms; 2 vCPU, numpy 2.4.6, median of 21 calls).  A
+    uint8 A of three slices (an RGB image) is gathered once into one int16
+    buffer, where the length-3 butterfly runs in place on small integers:
+    every term is exact, so the planes have dft3's bytes whatever order
+    pocketfft takes.  Only slices 0 and 1 are computed.  Slice 2 is
+    conj(slice 1), and its plane is slice 1's, conjugated in place with
+    ``np.subtract(0.0, P.imag, out=P.imag)`` (which keeps dft3's +0.0 where
+    ``np.conj`` would write -0.0) when it is asked for, so a consumer must
+    be done with plane 1 before it takes plane 2.  Any other A, float RGB
+    included, goes whole to np.fft.fft in complex128 (which it would
+    otherwise keep in the precision of a float32 input), for all l planes,
+    which then have dft3's bytes.
+    """
+    m, n, l = A.shape
+    shape = (m // m2 * (n // n2), m2 * n2)
+    V = _block_view(A, m2, n2)
+    if l == 1 and A.dtype.kind != "c":
+        p0 = np.empty(shape)
+        p0.reshape(V.shape[1:])[...] = V[0]
+        yield p0
+    elif l != 3 or A.dtype != np.uint8:
+        S = np.empty((l,) + shape, dtype=np.complex128)
+        S.reshape(V.shape)[...] = V
+        S = np.fft.fft(S, axis=0)
+        for i, P in enumerate(S):
+            yield np.ascontiguousarray(P.real) if A.dtype.kind != "c" and 2 * i % l == 0 else P
+    else:
+        p0, p1 = _rgb_half_spectrum(V, shape)
+        yield p0
+        yield p1
+        np.subtract(0.0, p1.imag, out=p1.imag)
+        yield p1
 
 
 def mat_stp_svd(A, m2: int, n2: int) -> MatStpSvd:
@@ -284,19 +298,8 @@ def tensor_stp_svd_trunc(A, m2: int, n2: int, R: Sequence[int]) -> TensorStpSvd:
     m, n, l = A.shape
     m1, n1 = _split(m, n, m2, n2)
     R = _check_block_rank(R, l, min(m1, n1))
-    # planes[i] is the C-contiguous rearrangement of Fourier slice i (float64,
-    # its real part, for a self-conjugate slice of real A), with no complex
-    # copy of A.  For uint8 RGB there is none of slice 2: it is conj(slice 1),
-    # made from slice 1's plane in place once slice 1 has been factored.
     planes = _stack_dft(A, m2, n2)
-    slices = []
-    for i in range(l):
-        if i < len(planes):
-            P = planes[i]
-        else:
-            P = planes[l - i]
-            np.subtract(0.0, P.imag, out=P.imag)
-        slices.append(mat_stp_svd_trunc(P, m2, n2, R[i], blocks=(m1, n1)))
+    slices = [mat_stp_svd_trunc(P, m2, n2, r, blocks=(m1, n1)) for P, r in zip(planes, R)]
     return TensorStpSvd(slices=slices, real_input=real)
 
 
@@ -341,9 +344,6 @@ def t_svd_trunc(A, R: Sequence[int]) -> TSvdFactors:
     n1, n2, n3 = A.shape
     R = _check_block_rank(R, n3, min(n1, n2))
     rmax = max(R)
-    # Ah[i] is DFT slice i, a float64 plane where it is real; for real A only
-    # slices 0..n3//2 are read, and only those are there for uint8 RGB.
-    Ah = _stack_dft(A, 1, n2)
     Uh = np.zeros((n1, rmax, n3), dtype=np.complex128)
     Sh = np.zeros((rmax, rmax, n3), dtype=np.complex128)
     Vh = np.zeros((n2, rmax, n3), dtype=np.complex128)
@@ -354,11 +354,14 @@ def t_svd_trunc(A, R: Sequence[int]) -> TSvdFactors:
         Sh[:r, :r, i] = np.diag(sigma[:r])
         Vh[:, :r, i] = V[:, :r]
 
-    for i in range(n3 // 2 + 1 if real else n3):
+    # P is DFT slice i, a float64 plane where it is real.  For real A zip
+    # stops at the range, before it asks for plane n3//2 + 1, so no mirror
+    # plane is made.
+    for i, P in zip(range(n3 // 2 + 1 if real else n3), _stack_dft(A, 1, n2)):
         # j is the slice that takes slice i's factors conjugated: its mirror
         # for real A, none (j == i) for complex A.
         j = -i % n3 if real else i
-        f = svds(Ah[i], max(R[i], R[j]))
+        f = svds(P, max(R[i], R[j]))
         put(i, f.U, f.sigma, f.V)
         if j != i:
             put(j, f.U.conj(), f.sigma, f.V.conj())
@@ -517,7 +520,7 @@ def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
     # A band's right side has up to 2l rows where the plane has n1, so a
     # band is cut to fit the larger of the two in _BAND entries.
     rows = max(1, _BAND // (max(n1, 2 * l) * n2 * l))
-    ka, kc = (rows // m2, m2) if rows >= m2 else (1, rows)
+    ka, kc = max(1, rows // m2), min(rows, m2)
     residue = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for c in range(0, m2, kc):

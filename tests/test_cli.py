@@ -214,6 +214,19 @@ class TestExitCodes:
         assert main(["decompress", "--input", str(bad), "--output", str(tmp_path / "o.ppm")]) == 4
         assert main(["info", "--input", str(bad)]) == 4
 
+    def test_nonzero_reserved_bytes_exit_4(self, tmp_path, ppm_path, capsys):
+        packed, out = tmp_path / "o.stpz", tmp_path / "o.ppm"
+        run(
+            capsys, "compress", "--input", ppm_path, "--m2", 4, "--n2", 4,
+            "--rank", "2", "--output", packed,
+        )
+        blob = bytearray(packed.read_bytes())
+        blob[7] = 0x80
+        packed.write_bytes(bytes(blob))
+        assert main(["decompress", "--input", str(packed), "--output", str(out)]) == 4
+        assert "reserved header bytes are nonzero (at byte offset 6)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rank_zero_container_exit_4(self, tmp_path, capsys):
         # 88 bytes that claim a 2000 x 2000 RGB image: rejected at the rank
         # vector, before anything of that size is allocated.

@@ -170,6 +170,26 @@ class TestContainer:
             deserialize(bytes(blob))
         assert exc.value.offset == 5
 
+    @pytest.mark.parametrize("at", [6, 7])
+    def test_nonzero_reserved_bytes(self, at):
+        rng = np.random.default_rng(5)
+        blob = bytearray(serialize(random_factors(rng, 2, 2, 2, 2, [1])))
+        blob[at] = 1
+        with pytest.raises(FormatError, match="reserved header bytes are nonzero") as exc:
+            deserialize(bytes(blob))
+        assert exc.value.offset == 6
+
+    def test_reads_any_bytes_like_input_into_fresh_arrays(self):
+        # struct and np.frombuffer read the buffer as it is, and every field
+        # is copied out of it, so overwriting the buffer leaves the factors.
+        rng = np.random.default_rng(8)
+        blob = serialize(random_factors(rng, 3, 2, 2, 2, [2, 1], real_input=True))
+        assert serialize(deserialize(memoryview(blob))) == blob
+        data = bytearray(blob)
+        F = deserialize(data)
+        data[28:] = bytes(len(data) - 28)
+        assert serialize(F) == blob
+
     def test_truncated_payload(self):
         rng = np.random.default_rng(6)
         blob = serialize(random_factors(rng, 2, 2, 2, 2, [1, 1]))

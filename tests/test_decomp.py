@@ -719,7 +719,7 @@ class TestFourierFrontEnd:
         else:
             A = rng.normal(size=shape) + 1j * rng.choice(np.array([0.0, -0.0, 1.0]), size=shape)
         # Each plane as the tensor route hands it to mat_stp_svd_trunc, copied
-        # before slice 2's is made from slice 1's in place.
+        # before the plane iterator conjugates slice 1's in place into slice 2's.
         planes = []
         factor = decomp_module.mat_stp_svd_trunc
 
@@ -755,9 +755,9 @@ class TestFourierFrontEnd:
     @example(l=3, m1=3, m2=2, n1=4, n2=3, ranks=[3, 1, 2], seed=0)
     @settings(deadline=None, max_examples=100)
     def test_integer_pass_gives_the_container_of_dft3(self, l, m1, m2, n1, n2, ranks, seed):
-        # Slice 2 of RGB is factored from slice 1's plane, conjugated in
-        # place after slice 1 is factored, so slice 1's factors must not
-        # alias that plane, also when R[1] != R[2].
+        # The plane iterator yields slice 2 of RGB as slice 1's plane,
+        # conjugated in place after slice 1 is factored, so slice 1's factors
+        # must not alias that plane, also when R[1] != R[2].
         A = np.random.default_rng(seed).integers(0, 256, (m1 * m2, n1 * n2, l), dtype=np.uint8)
         R = [min(r, m1, n1) for r in ranks[:l]]
         got = serialize(tensor_stp_svd_trunc(A, m2, n2, R))
@@ -815,11 +815,8 @@ class TestFourierFrontEnd:
             A = cplx(rng, 16, 16, l)
         planes = decomp_module._stack_dft(A, 4, 4)
         F = tensor_stp_svd_trunc(A, 4, 4, [2] * l)
-        for i, s in enumerate(F.slices):
+        for i, (P, s) in enumerate(zip(planes, F.slices, strict=True)):
             want = np.float64 if i in real else np.complex128
-            # Real RGB has no plane of slice 2: the tensor route makes it
-            # from slice 1's.
-            P = planes[i] if i < len(planes) else planes[l - i]
             assert P.dtype == s.U.dtype == s.C.dtype == s.V.dtype == want
         assert F.real_input == (kind != "complex")
 
@@ -834,7 +831,7 @@ class TestFourierFrontEnd:
         nkp_module = importlib.import_module("stpz.nkp")
         A = textured_samples(np.random.default_rng(65), size, size, 3)
         m1 = size // 8
-        plane = decomp_module._stack_dft(A, 8, 8)[0]
+        plane = next(decomp_module._stack_dft(A, 8, 8))
         want = mat_stp_svd_trunc(plane.astype(np.complex128), 8, 8, 4, blocks=(m1, m1))
         calls = []
         real = getattr(nkp_module, solver)

@@ -138,6 +138,21 @@ class TestPpm:
         with pytest.raises(FormatError):
             load_ppm(b"P6\n1 1")
 
+    @pytest.mark.parametrize("data", [b"P6\n4 \n", b"P6\n4 # no height"], ids=["space", "comment"])
+    def test_header_that_ends_before_a_field(self, data):
+        # Without its own check the empty token would read as a non-numeric
+        # height field; a comment may run to the end of the data.
+        with pytest.raises(FormatError, match="^unexpected end of image header") as exc:
+            load_ppm(data)
+        assert exc.value.offset == len(data)
+
+    def test_reads_a_memoryview(self):
+        # A memoryview's slices have no isdigit, so the parser reads a copy.
+        img = ImageBuffer(np.arange(24, dtype=np.uint8).reshape(2, 4, 3))
+        data = save_ppm(img)
+        for view in (memoryview(data), bytearray(data)):
+            assert same_bytes(load_ppm(view).samples, img.samples)
+
     def test_non_numeric_field(self):
         with pytest.raises(FormatError):
             load_ppm(b"P6\nx 1\n255\n\x00\x00\x00")
@@ -172,6 +187,11 @@ class TestImageBuffer:
             ImageBuffer(np.array([[[300.0, -1.0, 2.7]]]))
         with pytest.raises(DimensionError, match=r"lie in 0..255, got values in \[-1, 256\]"):
             ImageBuffer(np.array([[[256, -1, 3]]], dtype=np.int64))
+
+    @pytest.mark.parametrize("bad", [[300, 3, 4], [-1, 3, 4]], ids=["above", "below"])
+    def test_samples_out_of_range_on_one_side_raise(self, bad):
+        with pytest.raises(DimensionError, match="lie in 0..255"):
+            ImageBuffer(np.array([[bad]], dtype=np.int16))
 
     def test_uint8_is_kept_and_integers_in_range_are_cast(self):
         x = np.zeros((2, 3, 1), dtype=np.uint8)
@@ -297,6 +317,17 @@ class TestPsnr:
                 ImageBuffer(np.zeros((2, 2, 1), dtype=np.uint8)),
                 ImageBuffer(np.zeros((2, 3, 1), dtype=np.uint8)),
             )
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim, relative_error])
+def test_metrics_refuse_images_of_different_shapes(metric):
+    # A gray test image would broadcast against every channel of an RGB
+    # reference and give a number.
+    rng = np.random.default_rng(19)
+    ref = rand_image(rng, 16, 16, 3)
+    test = ImageBuffer(ref.samples[:, :, :1].copy())
+    with pytest.raises(DimensionError, match=r"image shapes differ: \(16, 16, 3\) vs \(16, 16, 1\)"):
+        metric(ref, test)
 
 
 class TestSsim:

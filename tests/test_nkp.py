@@ -81,6 +81,13 @@ class CountingSvd:
 
 
 class TestRearrange:
+    def test_real_and_nested_list_input_give_complex128(self):
+        A = np.arange(16.0).reshape(4, 4)
+        want = rearrange(A.astype(np.complex128), 2, 2)
+        for X in (A, A.tolist()):
+            R = rearrange(X, 2, 2)
+            assert R.dtype == np.complex128 and same_bytes(R, want)
+
     def test_kron_input_is_rank_one(self):
         B = np.array([[1.0, 2.0], [3.0, 4.0]])
         C = np.array([[5.0, 6.0], [7.0, 8.0]])
