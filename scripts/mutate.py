@@ -15,13 +15,15 @@ Each mutant makes one change to the module:
 
 The mutants are written, one at a time, to a temporary copy of the source
 tree (``--src``, default ``src/``); the working tree is never written.  The
-tests (default ``tests``) run against each with ``pytest -x``.  A mutant they
-fail on, or time out on, is killed; one they pass survived, unless
-``scripts/mutation-known.json`` lists it as equivalent.  The JSON report
-(``--report``) lists every mutant with its id, line, operator and status.
-A mutant's id names its scope and its change, not its line, so that the
-known list survives edits elsewhere in the module.  A full pass over one
-module takes several minutes to tens of minutes.
+tests (default ``tests``) run against each with ``pytest -x``, Hypothesis at
+a fixed seed and with a fresh example database, so that two passes over one
+tree give the same report.  A mutant they fail on, or time out on, is
+killed; one they pass survived, unless ``scripts/mutation-known.json``
+lists it as equivalent.  The JSON report (``--report``) lists every mutant
+with its id, line, operator and status.  A mutant's id names its scope and
+its change, not its line, so that the known list survives edits elsewhere
+in the module.  A full pass over one module takes several minutes to tens
+of minutes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KNOWN = Path(__file__).resolve().parent / "mutation-known.json"
+HYPOTHESIS_SEED = 0
 
 _TWINS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -160,15 +163,23 @@ def mutated_source(source: str, mutant: dict) -> str:
 
 def run_tests(tests: list[str], src: Path, cwd: Path, timeout: float | None) -> tuple[bool, float]:
     """Whether pytest -x passes on ``tests`` with ``src`` first on the path,
-    and how long it took; a run past ``timeout`` seconds fails."""
+    and how long it took; a run past ``timeout`` seconds fails.
+
+    Hypothesis draws every run's examples from one fixed seed and keeps
+    its example database in a fresh directory beside ``src``, so no run
+    replays another's failures and a run's result is a function of the
+    code; ``cwd`` gets no ``.hypothesis/``."""
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    start = time.perf_counter()
-    try:
-        done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return False, time.perf_counter() - start
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            f"--hypothesis-seed={HYPOTHESIS_SEED}", *tests]
+    with tempfile.TemporaryDirectory(dir=src.parent) as store:
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1",
+                   HYPOTHESIS_STORAGE_DIRECTORY=store)
+        start = time.perf_counter()
+        try:
+            done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return False, time.perf_counter() - start
     return done.returncode == 0, time.perf_counter() - start
 
 

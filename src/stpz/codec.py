@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomp import MatStpSvd, TensorStpSvd, _check_block_rank, _check_dims
+from .decomp import MatStpSvd, TensorStpSvd, _check_block_rank
 from .errors import DimensionError, FormatError
 
 __all__ = [
@@ -137,14 +137,6 @@ def serialize(F: TensorStpSvd) -> bytes:
     return b"".join(parts)
 
 
-def _check_header(at: int, check, *args) -> None:
-    """``check(*args)``, its DimensionError raised as a FormatError at ``at``."""
-    try:
-        check(*args)
-    except DimensionError as exc:
-        raise FormatError(str(exc), at) from None
-
-
 def deserialize(data: bytes) -> TensorStpSvd:
     """Decode an STPZ v1 container, bytes or any bytes-like object; exact
     inverse of :func:`serialize`.  The header, the pixel cap and the file's
@@ -161,7 +153,8 @@ def deserialize(data: bytes) -> TensorStpSvd:
         raise FormatError(f"unknown flag bits 0x{flags:02x}", 5)
     if reserved != 0:
         raise FormatError("reserved header bytes are nonzero", 6)
-    _check_header(8, _check_dims, dims)
+    if min(dims) < 1:
+        raise FormatError(f"non-positive dimension in {tuple(dims)}", 8)
     m1, m2, n1, n2, l = dims
     pixels = m1 * m2 * n1 * n2
     if pixels > MAX_PIXELS:
@@ -170,7 +163,10 @@ def deserialize(data: bytes) -> TensorStpSvd:
     if len(data) < at:
         raise FormatError("truncated container: expected rank vector", 28)
     R = struct.unpack_from(f"<{l}I", data, 28)
-    _check_header(28, _check_block_rank, R, l, min(m1, n1))
+    try:
+        _check_block_rank(R, l, min(m1, n1))
+    except DimensionError as exc:
+        raise FormatError(str(exc), 28) from None
     size = at + sum(math.prod(shape) * dtype.itemsize for *_, shape, dtype in _layout(dims, R))
     if len(data) != size:
         raise FormatError(

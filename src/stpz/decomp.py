@@ -144,11 +144,6 @@ class TSvdFactors:
     V: np.ndarray
 
 
-def _check_dims(dims: Sequence[int]) -> None:
-    if min(dims) < 1:
-        raise DimensionError(f"non-positive dimension in {tuple(dims)}")
-
-
 def _check_block_rank(R: Sequence[int], l: int, rmax: int) -> list[int]:
     # A float entry is refused, not truncated; bool subclasses int, so it is
     # refused by type.
@@ -409,25 +404,35 @@ def _is_mirror(s: MatStpSvd, t: MatStpSvd) -> bool:
 
 def _decode_terms(F: TensorStpSvd):
     """The terms of the real part of ``reconstruct(F)``, as (left, right).
-    ``left(a, b)`` is a (t, (b - a)*n1) float64 array for rows a:b of the B
-    factors, and ``right(c, d)`` a pair: a (t, d - c, n2*l) float64 array for
-    rows c:d of the C factors, and the right side of the imaginary part
-    there, or None where that part is exactly 0.  So
-    left(0, m1).T @ right(0, m2)[0].reshape(t, -1) is the
-    (m1*n1) x (m2*n2*l) plane whose entry ((a, b), (c, d, k)) is spatial
-    entry (a*m2 + c, b*n2 + d, k).
 
     Entry (a*m2 + c, b*n2 + d) of B ⊗ C is B[a, b] C[c, d], and the inverse
-    DFT is linear, so with row-major vec the plane is the sum over Fourier
-    slices j of Re(vec(B_j) vec(w[k, j] C_j)^T), with Re(x y^T) =
-    Re(x) Re(y)^T - Im(x) Im(y)^T.  When every slice's mirror -j (mod l)
-    holds its conjugate factors (:func:`_is_mirror`), slices j and -j sum to
-    2 Re(w[k, j] B_j ⊗ C_j): a pair is one term of doubled weight, a
-    self-conjugate slice is real and gives Re B_j's row alone, and the
-    reconstruction is real.  Any other F keeps a Re and an Im row per slice
-    and a companion right side, Im(x y^T) = Re(x) Im(y)^T + Im(x) Re(y)^T.
-    Overflow gives non-finite terms, which :func:`decode_samples` rejects,
-    so numpy's overflow warnings are silenced.
+    DFT is linear, so with row-major vec the rearranged plane, whose entry
+    ((a, b), (c, d, k)) is spatial entry (a*m2 + c, b*n2 + d, k), is the sum
+    over Fourier slices j of Re(x_j y_j^T), with x_j = vec(B_j),
+    y_j = vec(w[k, j] C_j) and Re(x y^T) = Re(x) Re(y)^T - Im(x) Im(y)^T.
+    So it is a sum of t real
+    outer products, one per term (j, imag, g) of one list:
+    part(x_j) g part(y_j)^T, where part takes the imaginary part of an
+    imag term and the real part otherwise.  The list holds a Re term
+    (j, False, g_j) for each decoded slice j, then an Im term
+    (j, True, -g_j) for each decoded slice that is unpaired or not
+    self-conjugate.  When every slice's mirror -j (mod l) holds its
+    conjugate factors (:func:`_is_mirror`), slices j and -j sum to
+    2 Re(w[k, j] B_j ⊗ C_j), so the paired F decodes slices 0..l//2, with
+    g_j = 2 for a pair and 1 for a self-conjugate slice, which is real, and
+    the reconstruction is real.  Any other F decodes every slice with
+    g_j = 1, and its imaginary part, by Im(x y^T) = Re(x) Im(y)^T +
+    Im(x) Re(y)^T, is the sum of the terms with part swapped on the right
+    and no weight.
+
+    ``left(a, b)`` stacks each term's part(x_j) for rows a:b of the B
+    factors, a (t, (b - a)*n1) float64 array.  ``right(c, d)`` is a pair
+    for rows c:d of the C factors: the terms' g part(y_j), a
+    (t, d - c, n2*l) float64 array, and the imaginary part's companion of
+    the same shape, or None where that part is exactly 0.  So
+    left(0, m1).T @ right(0, m2)[0].reshape(t, -1) is the plane.  Overflow
+    gives non-finite terms, which :func:`decode_samples` rejects, so
+    numpy's overflow warnings are silenced.
     """
     m1, m2, n1, n2, l = F.dims
     # w[k, j] = omega^(jk) / l with omega = exp(2 pi i / l), the weight of
@@ -435,34 +440,27 @@ def _decode_terms(F: TensorStpSvd):
     w = np.fft.ifft(np.eye(l), axis=0)
     S = F.slices
     paired = all(_is_mirror(S[j], S[-j % l]) for j in range(l // 2 + 1))
-    # The slices with a Re row, the weight of each, and those with an Im row.
+    # The decoded slices, and the terms (slice, imag, weight).
     re = range(l // 2 + 1) if paired else range(l)
-    g = [2 if paired and 2 * j % l else 1 for j in re]
-    im = [j for j in re if not paired or 2 * j % l]
-    t = len(re) + len(im)
+    terms = [(j, False, 2 if paired and 2 * j % l else 1) for j in re]
+    terms += [(j, True, -g) for j, _, g in terms if not paired or 2 * j % l]
     with np.errstate(over="ignore", invalid="ignore"):
         US = [S[j].U * S[j].sigma for j in re]
     Vh = [S[j].V.conj().T for j in re]
 
+    def part(x: np.ndarray, imag: bool) -> np.ndarray:
+        return x.imag if imag else x.real
+
     def left(a: int, b: int) -> np.ndarray:
-        out = np.empty((t, (b - a) * n1))
         B = [(US[j][a:b] @ Vh[j]).ravel() for j in re]
-        for k, j in enumerate(re):
-            out[k] = B[j].real
-        for k, j in enumerate(im, len(re)):
-            out[k] = B[j].imag
-        return out
+        return np.array([part(B[j], im) for j, im, _ in terms])
 
     def right(c: int, d: int) -> tuple[np.ndarray, np.ndarray | None]:
-        out = np.empty((t, (d - c) * n2, l))
         with np.errstate(over="ignore", invalid="ignore"):
             wc = [S[j].C[c:d].reshape(-1, 1) * w[:, j] for j in re]
-            for k, j in enumerate(re):
-                out[k] = g[j] * wc[j].real
-            for k, j in enumerate(im, len(re)):
-                out[k] = -g[j] * wc[j].imag
-            imag = None if paired else np.stack([wc[j].imag for j in re] + [wc[j].real for j in im])
-        shape = (t, d - c, n2 * l)
+            out = np.array([g * part(wc[j], im) for j, im, g in terms])
+            imag = None if paired else np.array([part(wc[j], not im) for j, im, _ in terms])
+        shape = (len(terms), d - c, n2 * l)
         return out.reshape(shape), None if imag is None else imag.reshape(shape)
 
     return left, right
@@ -488,13 +486,11 @@ def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
 
     Returns (samples, imag_residue): the uint8 (m, n, l) array that
     ``tensor_to_image(reconstruct(F))`` gives, and the largest modulus of the
-    imaginary part of the reconstruction.  When every Fourier slice's
-    mirror holds its conjugate factors, compared by value (as a real image's
-    encode writes them), a conjugate pair is decoded once with doubled
-    weight, a self-conjugate slice as one real term, and the residue is
-    0.0: the reconstruction is real in exact arithmetic, and no imaginary
-    part is computed.  Any other file, as one truncated at uneven ranks
-    R[j] != R[l - j], gets a Re and an Im term per slice, and its residue is
+    imaginary part of the reconstruction.  The plane is the sum of the
+    terms of :func:`_decode_terms`.  For a paired file (as a real image's
+    encode writes it) the reconstruction is real in exact arithmetic, no
+    imaginary part is computed and the residue is 0.0; any other file, as
+    one truncated at uneven ranks R[j] != R[l - j], has its residue
     measured.
 
     No complex (m, n, l) tensor, no whole plane and no whole right side:

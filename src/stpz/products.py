@@ -110,18 +110,14 @@ def stp_tensor(A, B) -> np.ndarray:
     With A m x n x t and B p x q x t: if n = k*p the result is
     A * (B ⊗ I_k) (m x kq x t); if p = k*n it is (A ⊗ I_k) * B (km x q x t),
     where * is the t-product and I_k the k x k x 1 identity tensor.  Computed
-    as slice-wise matrix semi-tensor products in the Fourier domain.
+    as slice-wise matrix semi-tensor products in the Fourier domain, so
+    :func:`stp_mat` refuses inner dimensions that are not multiples.
     """
     A = as_tensor3(A)
     B = as_tensor3(B)
     if A.shape[2] != B.shape[2]:
         raise DimensionError(
             f"stp_tensor third dimensions differ: {A.shape[2]} vs {B.shape[2]}"
-        )
-    n, p = A.shape[1], B.shape[0]
-    if n % p != 0 and p % n != 0:
-        raise DimensionError(
-            f"inner dimensions {n} and {p} are not integer multiples of each other"
         )
     Ah = dft3(A)
     Bh = dft3(B)

@@ -216,7 +216,7 @@ class TestStpTensor:
             stp_tensor(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
 
     def test_non_divisible_error(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="3 and 2 are not integer multiples"):
             stp_tensor(np.zeros((2, 3, 2)), np.zeros((2, 2, 2)))
 
     def test_associativity(self):
@@ -236,3 +236,17 @@ class TestStpTensor:
                 count += 1
                 assert lhs.shape == rhs.shape
                 assert rel_err(lhs, rhs) <= 1e-11
+
+
+@pytest.mark.parametrize(
+    "f, a, b",
+    [
+        (stp_mat, [[1, 2]], [[1], [2], [3], [4]]),
+        (t_product, [[[1, 2], [3, 4]]], [[[1, 0]], [[2, 1]]]),
+        (stp_tensor, [[[1, 2], [3, 4]]], [[[5, 6]]]),
+    ],
+)
+def test_nested_lists_are_complex_operands(f, a, b):
+    want = f(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    got = f(a, b)
+    assert np.array_equal(got, want) and got.dtype == np.complex128

@@ -50,15 +50,19 @@ def both(a, b):
 def test_mutate_reports_killed_survived_and_known_mutants(tmp_path, capsys):
     # Five mutants of a toy module: LIMIT +- 1 and the deleted `if` change
     # clip(11); `x >= LIMIT` changes nothing the test can see and is listed
-    # as known; `a or b` is untested and survives.
+    # as known; `a or b` is untested and survives.  The toy's test is a
+    # Hypothesis test, whose example database must not land in the
+    # working tree (pytest's cwd, tmp_path), where one mutant's failing
+    # examples would be replayed against the next.
     (tmp_path / "src" / "toy").mkdir(parents=True)
     module = tmp_path / "src" / "toy" / "clip.py"
     module.write_text(TOY)
     tests = tmp_path / "tests" / "test_clip.py"
     tests.parent.mkdir()
     tests.write_text(
-        "from toy.clip import clip\n\n\ndef test_clip():\n"
-        "    assert clip(11) == 10 and clip(3) == 3\n"
+        "from hypothesis import given, strategies as st\n\nfrom toy.clip import clip\n\n\n"
+        "@given(st.integers(-10, 9))\ndef test_clip(x):\n"
+        "    assert clip(11) == 10 and clip(x) == x\n"
     )
     known = tmp_path / "known.json"
     equivalent = "clip: compare x > LIMIT -> x >= LIMIT"
@@ -81,6 +85,7 @@ def test_mutate_reports_killed_survived_and_known_mutants(tmp_path, capsys):
     assert (got["killed"], got["survived"], got["equivalent"]) == (3, 1, 1)
     after = sorted((p.relative_to(tmp_path), p.read_bytes()) for p in tmp_path.rglob("*.py"))
     assert after == before
+    assert not (tmp_path / ".hypothesis").exists()
     assert "3 of 5 killed" in capsys.readouterr().out
 
 

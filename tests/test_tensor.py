@@ -266,6 +266,8 @@ class TestPredicates:
 
     def test_identity_is_unitary(self):
         assert is_unitary_tensor(identity_tensor(4, 3), 1e-12)
+        # Both products are exactly the identity, so a zero tolerance holds.
+        assert is_unitary_tensor(identity_tensor(4, 3), 0.0)
 
     def test_all_ones_not_unitary(self):
         assert not is_unitary_tensor(np.ones((2, 2, 2)), 1e-8)
@@ -278,3 +280,31 @@ class TestPredicates:
 def test_as_array3_rejects_a_zero_extent():
     with pytest.raises(DimensionError, match=r"extents must be positive, got \(2, 0, 3\)"):
         as_array3(np.zeros((2, 0, 3)))
+
+
+def test_as_array3_rejects_a_non_tensor():
+    for a in (np.zeros((2, 3)), np.zeros((2, 3, 4, 5))):
+        with pytest.raises(DimensionError, match=f"expected a third-order tensor, got ndim={a.ndim}"):
+            as_array3(a)
+
+
+@pytest.mark.parametrize(
+    "f, arg, args",
+    [
+        (frontal_slice, entry_tensor_2x2x2(), (1,)),
+        (unfold, entry_tensor_2x2x2(), ()),
+        (fold, unfold(entry_tensor_2x2x2()), (2, 2, 2)),
+        (bcirc, entry_tensor_2x2x2(), ()),
+        (bcirc_inv, bcirc(entry_tensor_2x2x2()), (2, 2, 2)),
+        (conj_transpose, entry_tensor_2x2x2(), ()),
+        (transpose, entry_tensor_2x2x2(), ()),
+        (is_f_diagonal, identity_tensor(2, 2), ()),
+        (is_unitary_tensor, identity_tensor(2, 2), ()),
+    ],
+)
+def test_nested_lists_of_integers_are_complex_tensors(f, arg, args):
+    # Each primitive takes a nested list of real entries as the complex128
+    # tensor or matrix it holds.
+    want = f(arg, *args)
+    got = f(arg.real.astype(int).tolist(), *args)
+    assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype
