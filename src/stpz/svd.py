@@ -10,17 +10,19 @@ which the rotation is a sign.
 
 ``svds`` gives the leading r triplets: the dense SVD's prefix for
 r > min(m, n) / 2, and otherwise the Rayleigh–Ritz triplets of the top r
-eigenvectors of the short-side Gram matrix.  ``leading_triplet`` is
-a Lanczos solver for the first triplet alone, which returns its Ritz
-triplet when its step budget runs out; its docstring describes the Gram
-route it takes on tall and wide input, and that route's scale step.  All
-three follow the phase convention.
+eigenvectors of the short-side Gram matrix or, on large shapes
+(``_GKL_WORK``), the top r Ritz triplets of a Golub–Kahan–Lanczos process.
+``leading_triplet`` is the same Lanczos process for the first triplet
+alone, which returns its Ritz triplet when its step budget runs out; its
+docstring describes the Gram route it takes on tall and wide input, and
+that route's scale step.  All three follow the phase convention.
 
 One input rule guards the solvers that square entries (``leading_triplet``,
-the Gram side of ``svds`` and :func:`~stpz.nkp.nkp`): a nonzero A with
-||A||_F^2 outside ``_NORM2_RANGE`` = [2^-600, 2^600] is factored as A s^2,
-for the power of two s that brings its largest modulus into [1/2, 2), and
-the result is scaled back; ``svds`` takes its dense route instead.
+the Gram and Lanczos sides of ``svds`` and :func:`~stpz.nkp.nkp`): a
+nonzero A with ||A||_F^2 outside ``_NORM2_RANGE`` = [2^-600, 2^600] is
+factored as A s^2, for the power of two s that brings its largest modulus
+into [1/2, 2), and the result is scaled back; ``svds`` takes its dense
+route instead.
 NaN or Inf raises NumericError, and an empty matrix DimensionError.
 """
 
@@ -52,6 +54,30 @@ _GKL_TOL = 1e-12
 #   0.71-0.80 at 64 (4096 x 64).  At k = 16 and 32 it won from aspect 8.
 _GRAM_SIDE = 64
 _GRAM_ASPECT = 32
+
+# Shapes on which svds (2r <= k = min(m, n)) runs Lanczos on A instead of
+# forming the Gram matrix: k^4, times 8 for complex input, at least
+# _GKL_WORK * max(m, n).  At aspect 1 that is k >= 512 complex and k >= 1024
+# real; a taller or wider A needs a larger k, since each Lanczos step reads
+# all of A where the Gram matrix takes one BLAS-3 pass.  The Gram route's
+# cost is its full eigendecomposition of G, k^3; the Lanczos route's is its
+# step count, which grows with r and with the flatness of the spectrum.
+# Measured on 2 vCPU with OpenBLAS, median of 5 interleaved calls, Lanczos
+# time over Gram time at r = 20, for slice 1 of a textured RGB image /
+# complex (or real) Gaussian noise:
+# - complex square: 0.80 / 1.13 at k = 256, 0.62 / 0.80 at 384, 0.35 / 0.59
+#   at 512 (54 against 155 ms on the image), 0.26 / 0.38 at 768 and
+#   0.17 / 0.30 at 1024;
+# - real square: 1.44 / 1.96 at k = 512, 0.79 / 1.19 at 768 and 0.63 / 0.93
+#   at 1024;
+# - complex noise by aspect: 0.63 at 640 x 512, 1.07 at 1024 x 512, 1.50 at
+#   512 x 2048, 1.93 at 2048 x 512, 0.43 at 1024 x 768, 0.84 at 1536 x 768;
+#   real noise, 1.65 at 2048 x 1024;
+# - by r, at 512^2 complex: 0.05 at r = 1, 0.35 at 20, 1.13 at 64, and
+#   2.39 / 2.45 at r = 256; 5.58 at 1024^2 real noise with r = 512;
+# - the slowest spectra found, linear in [1, 0.5] and in [1, 0.95] at 512^2
+#   complex, r = 20: 1.52 and 1.77 (210 and 246 ms against 139 ms).
+_GKL_WORK = 2**30
 
 # Range of ||A||_F^2 in which the solvers take A as it is.  Inside it no
 # square or Lanczos norm overflows, and subnormal squares, each off by at
@@ -189,14 +215,14 @@ def _leading_triplet(A: np.ndarray) -> SvdResult:
     k = min(A.shape)
     if k <= _GRAM_SIDE and max(A.shape) >= _GRAM_ASPECT * k:
         return _gram_triplet(A)
-    return _gkl_triplet(A)
+    return _gkl(A, 1, min(_GKL_STEPS, k))
 
 
-def _zero_triplet(A: np.ndarray) -> SvdResult:
-    # (0, e_1, e_1) in A's dtype, as svd gives it for a zero A.
+def _zero_triplet(A: np.ndarray, r: int = 1) -> SvdResult:
+    # r triplets (0, e_j, e_j) in A's dtype, as svd gives them for a zero A.
     m, n = A.shape
-    U, V = np.eye(m, 1, dtype=A.dtype), np.eye(n, 1, dtype=A.dtype)
-    return SvdResult(U=U, sigma=np.zeros(1), V=V)
+    U, V = np.eye(m, r, dtype=A.dtype), np.eye(n, r, dtype=A.dtype)
+    return SvdResult(U=U, sigma=np.zeros(r), V=V)
 
 
 def _gram_triplet(A: np.ndarray) -> SvdResult:
@@ -205,7 +231,7 @@ def _gram_triplet(A: np.ndarray) -> SvdResult:
     # Lanczos on G itself is the route _leading_triplet would pick for it.
     wide = A.shape[0] < A.shape[1]
     X = np.conj(A.T, order="C") if wide else A
-    v = _gkl_triplet(_scale(_gram(X), "leading_triplet")[0]).V
+    v = _gkl(_scale(_gram(X), "leading_triplet")[0], 1, min(_GKL_STEPS, X.shape[1])).V
     x = X @ v
     sigma = np.linalg.norm(x)
     if sigma == 0.0:
@@ -219,20 +245,22 @@ def _gram_triplet(A: np.ndarray) -> SvdResult:
     return SvdResult(U=U, sigma=np.array([sigma]), V=V)
 
 
-def _gkl_triplet(A: np.ndarray) -> SvdResult:
-    # Golub–Kahan–Lanczos on A itself.
+def _gkl(A: np.ndarray, r: int, steps: int) -> SvdResult:
+    # Golub–Kahan–Lanczos on A itself: the top r Ritz triplets after at
+    # most steps steps, r <= steps <= min(m, n).  leading_triplet runs it at
+    # r = 1, where the stopping test runs at every step; svds at r <= k / 2.
     m, n = A.shape
-    steps = min(_GKL_STEPS, m, n)
     # Basis vectors are rows, so each is contiguous; they take A's dtype.
+    # Vb starts zero, so no step reads memory it has not written.
     Ub = np.empty((steps + 1, m), dtype=A.dtype)
-    Vb = np.empty((steps, n), dtype=A.dtype)
-    alpha = np.empty(steps)
+    Vb = np.zeros((steps, n), dtype=A.dtype)
+    alpha = np.zeros(steps)
     beta = np.empty(steps + 1)
     u = A @ np.random.default_rng(0).standard_normal(n)
     beta[0] = np.linalg.norm(u)
     if beta[0] == 0.0:
         if not A.any():
-            return _zero_triplet(A)
+            return _zero_triplet(A, r)
         # A w = 0: start from A e_j for the column j of largest norm, which
         # is nonzero and, within the input rule's range, has a norm that
         # does not underflow.
@@ -245,21 +273,46 @@ def _gkl_triplet(A: np.ndarray) -> SvdResult:
         if k:
             v -= beta[k] * Vb[k - 1]
         v = _reorthogonalize(v, Vb[:k])
-        alpha[k] = np.linalg.norm(v)
-        Vb[k] = v / alpha[k]
+        alpha[k] = _norm(v, alpha[0])
+        Vb[k] = _unit(v, alpha[k], Vb[:k])
         u = A @ Vb[k] - alpha[k] * Ub[k]
         u = _reorthogonalize(u, Ub[: k + 1])
-        beta[k + 1] = np.linalg.norm(u)
-        L = np.diag(alpha[: k + 1]) + np.diag(beta[1 : k + 1], -1)
-        P, s, Qh = np.linalg.svd(L)
-        if beta[k + 1] * abs(Qh[0, k]) <= _GKL_TOL * s[0]:
-            break
-        Ub[k + 1] = u / beta[k + 1]
-    # The Ritz triplet of the last L_k, converged or at the budget.
-    U = (P[:, 0] @ Ub[: k + 1])[:, None]
-    V = (Qh[0] @ Vb[: k + 1])[:, None]
+        beta[k + 1] = _norm(u, alpha[0])
+        # The test runs every r steps from step r on, and at a breakdown
+        # (beta = 0, which passes it) from step r on.  The budget's last
+        # step takes the Ritz triplets as they are.
+        last = k + 1 == steps
+        if last or k + 1 >= r and (beta[k + 1] == 0.0 or (k + 1 - r) % r == 0):
+            L = np.diag(alpha[: k + 1]) + np.diag(beta[1 : k + 1], -1)
+            P, s, Qh = np.linalg.svd(L)
+            if last or np.all(beta[k + 1] * np.abs(Qh[:r, k]) <= _GKL_TOL * s[0]):
+                break
+        Ub[k + 1] = _unit(u, beta[k + 1], Ub[: k + 1])
+    # The Ritz triplets of the last L_k, converged or at the budget.
+    U = Ub[: k + 1].T @ P[:, :r]
+    V = Vb[: k + 1].T @ Qh[:r].T
     _fix_phases(U, V)
-    return SvdResult(U=U, sigma=s[:1], V=V)
+    return SvdResult(U=U, sigma=s[:r], V=V)
+
+
+def _norm(x: np.ndarray, alpha0: float) -> float:
+    # ||x||, or 0.0 for a breakdown: a norm at most _GKL_TOL * alpha_0, where
+    # alpha_0 = ||A^H u_0|| <= sigma_1, is roundoff from an exhausted Krylov
+    # space, and a unit vector made from it need not be orthogonal to the
+    # basis.  Dropping it changes L by less than the stopping tolerance.
+    norm = np.linalg.norm(x)
+    return 0.0 if norm <= _GKL_TOL * alpha0 else norm
+
+
+def _unit(x: np.ndarray, norm: float, basis: np.ndarray) -> np.ndarray:
+    # x / norm, or at a breakdown (norm = 0) a fixed pseudo-random unit
+    # vector orthogonal to the basis rows, of which there are fewer than
+    # x.size.  The recurrence goes on from it with a zero entry in L, which
+    # is still U_k^H A V_k.
+    if norm == 0.0:
+        x = _reorthogonalize(np.random.default_rng(len(basis)).standard_normal(x.size), basis)
+        norm = np.linalg.norm(x)
+    return x / norm
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -306,6 +359,30 @@ def svds(A, r: int) -> SvdResult:
     that angle, and each sigma_i by about eps * sigma_1^2 / sigma_i
     besides.  Input the module's input rule would scale takes the dense route.
 
+    On a large shape (``_GKL_WORK``: at aspect 1, k >= 512 for complex and
+    k >= 1024 for real input), the same r <= k / 2 instead run the
+    Golub–Kahan–Lanczos process of :func:`leading_triplet` on A itself,
+    with a budget of k steps, and the triplets are the top r Ritz triplets
+    (sigma_j, U_k p_j, V_k q_j) of its bidiagonal L_k.  The process stops
+    when beta |q_j[k]|, the residual ||A v_j - sigma_j u_j|| of each of
+    them, is at most ``_GKL_TOL * sigma_1``; the test runs every r steps
+    from step r on.  Each triplet is then a singular triplet to that
+    tolerance, and U and V are orthonormal to roundoff.  A breakdown, an
+    alpha or beta at most ``_GKL_TOL`` times the first alpha (the Krylov
+    space is exhausted), counts as zero.  A zero beta passes the stopping
+    test once there are r steps; otherwise the next basis vector is a
+    fixed pseudo-random one orthogonalized against the basis, so a matrix
+    of rank below r still gets r orthonormal triplets, zero ones included,
+    and a zero matrix gets (0, e_j, e_j) as :func:`svd` gives them.  The stopping test certifies
+    r singular triplets, not the leading r: as for
+    :func:`leading_triplet`, a singular value whose right vector is
+    orthogonal to the start, or a second copy of a repeated value (which a
+    one-vector Krylov space holds once), enters the process only through
+    roundoff.  A repeated leading value has been found that way in every
+    case tested.  The route's cost grows with its step count, which grows
+    with r and with the flatness of the spectrum; ``_GKL_WORK``'s comment
+    has the measured table.
+
     The split at k / 2 is where the two routes cost about the same, at
     every size measured.  On 18 shapes from 16 x 16 to 128 x 128 and 4096 x 4, real and
     complex (2 vCPU, OpenBLAS, median of 41 calls, two runs), the Gram side
@@ -317,6 +394,8 @@ def svds(A, r: int) -> SvdResult:
     if not 1 <= r <= k:
         raise DimensionError(f"truncation rank {r} out of range [1, {k}]")
     if 2 * r <= k and _scale(A, "svds")[1] == 1.0:
+        if k**4 * (8 if np.iscomplexobj(A) else 1) >= _GKL_WORK * max(A.shape):
+            return _gkl(np.ascontiguousarray(A), r, k)
         return _gram_svds(A, r)
     full = svd(A)
     return SvdResult(U=full.U[:, :r].copy(), sigma=full.sigma[:r].copy(), V=full.V[:, :r].copy())

@@ -430,7 +430,7 @@ class TestLeadingTriplet:
         # norms were off by 1.9e-13 here, and by 4e-16 with it.
         sigma = np.r_[1.0, 0.999, 0.998, np.full(50, 0.5), np.full(10, 1e-10)]
         A = with_spectrum(np.random.default_rng(0), 300, 200, sigma)
-        f = svd_module._gkl_triplet(A)
+        f = svd_module._gkl(A, 1, svd_module._GKL_STEPS)
         for X in (f.U, f.V):
             assert abs(np.linalg.norm(X) - 1.0) <= 1e-14
 
@@ -519,6 +519,24 @@ def gram_case(kind, m, n, dtype, rng):
     return A + 1j * rng.normal(size=shape) if dtype == "complex" else A
 
 
+def lanczos_case(kind, rng):
+    """512 x 512 complex matrices on svds's Lanczos route (640 x 576 for
+    "tall"): Gaussian, and the inputs on which a one-vector Krylov process
+    breaks down or can miss a copy of a repeated value."""
+    n = 512
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.complex128)
+    if kind == "rank-2":
+        return np.kron(np.eye(2), np.ones((n // 2, n // 2))) + 0j
+    if kind == "identity":
+        return np.eye(n, dtype=np.complex128)
+    if kind == "repeated":
+        return with_spectrum(rng, n, n, np.r_[3.0, 3.0, 2.0 * 0.99 ** np.arange(n - 2)])
+    if kind == "flat":
+        return with_spectrum(rng, n, n, np.linspace(1.0, 0.5, n))
+    return cplx(rng, 640, 576) if kind == "tall" else cplx(rng, n, n)
+
+
 def assert_gram_triplets(A, r):
     """svds(A, r) against the dense svd: orthonormal factors, sigma, the
     truncation residual, the phase rule and the factors' dtype."""
@@ -542,7 +560,7 @@ def assert_gram_triplets(A, r):
 
 class TestSvdsGram:
     """svds with r <= min(m, n) / 2: the Gram eigenvectors and their
-    Rayleigh–Ritz triplets."""
+    Rayleigh–Ritz triplets, or on large shapes the Lanczos Ritz triplets."""
 
     @pytest.fixture
     def gram_calls(self, monkeypatch):
@@ -552,6 +570,43 @@ class TestSvdsGram:
         real_svd = svd_module.svd
         monkeypatch.setattr(svd_module, "svd", lambda M: shapes.append(M.shape) or real_svd(M))
         return shapes
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        # The route of each svds call, with the shape it was given:
+        # "gram" for _gram_svds and "lanczos" for _gkl.  The dense prefix
+        # records nothing.
+        calls = []
+        for name, route in (("_gram_svds", "gram"), ("_gkl", "lanczos")):
+            real = getattr(svd_module, name)
+            monkeypatch.setattr(
+                svd_module,
+                name,
+                lambda A, *rest, real=real, route=route: calls.append((route, A.shape))
+                or real(A, *rest),
+            )
+        return calls
+
+    @pytest.mark.parametrize(
+        "shape, dtype, route",
+        [
+            ((512, 512), "complex", "lanczos"),
+            ((512, 512), "real", "gram"),
+            ((511, 511), "complex", "gram"),
+            ((513, 512), "complex", "gram"),
+            ((512, 513), "complex", "gram"),
+            ((1024, 1024), "real", "lanczos"),
+            ((1023, 1023), "real", "gram"),
+        ],
+    )
+    def test_route_rule(self, routes, shape, dtype, route):
+        # Which side of _GKL_WORK each shape falls on: k^4, times 8 for
+        # complex input, against _GKL_WORK * max(m, n).  A zero matrix
+        # costs little on either route and gives zero triplets on both.
+        A = np.zeros(shape, dtype=np.complex128 if dtype == "complex" else np.float64)
+        f = svds(A, 3)
+        assert routes == [(route, shape)]
+        assert not f.sigma.any() and f.U.dtype == A.dtype
 
     @pytest.mark.parametrize("dtype", ["real", "complex"])
     @pytest.mark.parametrize("kind", ["tall", "wide", "square"])
@@ -576,6 +631,70 @@ class TestSvdsGram:
         A = gram_case(kind, m, n, dtype, rng)
         assert_gram_triplets(A, data.draw(st.integers(1, min(A.shape) // 2)))
 
+    @pytest.mark.parametrize(
+        "kind, r",
+        [
+            ("gauss", 1),
+            ("gauss", 20),
+            ("gauss", 256),
+            ("tall", 20),
+            ("zero", 20),
+            ("rank-2", 20),
+            ("identity", 20),
+            ("repeated", 20),
+            ("flat", 20),
+        ],
+    )
+    def test_lanczos_route(self, routes, kind, r):
+        # svds's Lanczos route, to the tolerances of the Gram side.  At the
+        # zero, rank-2 and identity inputs the process breaks down before
+        # it has r triplets and restarts; a repeated leading value, which a
+        # one-vector Krylov space holds once, is found from roundoff; a
+        # flat spectrum is the slowest case measured.
+        A = lanczos_case(kind, np.random.default_rng(45))
+        f = assert_gram_triplets(A, r)
+        assert routes == [("lanczos", A.shape)]
+        if kind == "repeated":
+            assert f.sigma[1] == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "case, r, steps, tests",
+        [
+            ("gauss", 20, 512, "every r"),
+            ("rank-30", 20, 512, [20, 30]),
+            ("identity", 20, 512, [20]),
+            ("flat", 3, 10, [3, 6, 9, 10]),
+            ("flat", 1, 10, list(range(1, 11))),
+        ],
+    )
+    def test_stopping_test_cadence(self, monkeypatch, case, r, steps, tests):
+        # The Lanczos loop's stopping test, one SVD of L_k per run, runs
+        # every r steps from step r on, at a breakdown (beta = 0) from
+        # step r on, and at the budget's last step.  On noise it stops at
+        # one of those steps, converged.  A diagonal of rank 30 keeps every
+        # basis vector on its 30 coordinates, so at r = 20 it breaks down
+        # at step 30; the identity breaks down at every step, and restarts
+        # until step r.
+        rng = np.random.default_rng(46)
+        A = {
+            "gauss": lambda: cplx(rng, 512, 512),
+            "rank-30": lambda: np.diag(np.r_[np.linspace(1.0, 0.5, 30), np.zeros(482)]) + 0j,
+            "identity": lambda: np.eye(512, dtype=np.complex128),
+            "flat": lambda: with_spectrum(rng, 40, 30, 0.99 ** np.arange(30)),
+        }[case]()
+        sizes, real_svd = [], np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda L: sizes.append(L.shape[0]) or real_svd(L)
+        )
+        f = svd_module._gkl(A, r, steps)
+        monkeypatch.undo()
+        if tests == "every r":
+            assert sizes == list(range(r, sizes[-1] + 1, r)) and sizes[-1] < steps
+            assert np.linalg.norm(A @ f.V - f.U * f.sigma, axis=0).max() <= 1e-11 * f.sigma[0]
+        else:
+            assert sizes == tests
+        assert f.sigma.shape == (r,)
+
     @pytest.mark.parametrize("dtype", ["real", "complex"])
     def test_r_above_the_rank(self, dtype):
         # Rank 3 with r = 10: the Ritz values past the rank are roundoff,
@@ -591,18 +710,22 @@ class TestSvdsGram:
         assert not f.sigma.any()
         assert gram_calls == [(80, 5)]
 
-    def test_deterministic_bitwise(self):
+    def test_deterministic_bitwise(self, routes):
         rng = np.random.default_rng(42)
-        A = cplx(rng, 70, 90)
-        f1, f2 = svds(A, 12), svds(A.copy(), 12)
-        assert np.array_equal(f1.U, f2.U)
-        assert np.array_equal(f1.sigma, f2.sigma)
-        assert np.array_equal(f1.V, f2.V)
+        for shape in [(70, 90), (512, 512)]:
+            A = cplx(rng, *shape)
+            f1, f2 = svds(A, 12), svds(A.copy(), 12)
+            assert np.array_equal(f1.U, f2.U)
+            assert np.array_equal(f1.sigma, f2.sigma)
+            assert np.array_equal(f1.V, f2.V)
+        assert [route for route, _ in routes] == ["gram"] * 2 + ["lanczos"] * 2
 
-    @pytest.mark.parametrize("shape", [(90, 70), (70, 90)])
+    @pytest.mark.parametrize("shape", [(90, 70), (70, 90), (512, 512)])
     def test_conjugate_input_gives_conjugate_factors(self, shape):
-        # The Gram matrix of conj(X) is exactly conj(G), so the conjugate of
-        # a matrix gets the conjugate triplets, up to the sign of a zero.
+        # The Gram matrix of conj(X) is exactly conj(G), and each Lanczos
+        # step on conj(A) is the conjugate of the step on A, so the
+        # conjugate of a matrix gets the conjugate triplets, up to the sign
+        # of a zero.
         rng = np.random.default_rng(43)
         A = cplx(rng, *shape)
         f, g = svds(A, 12), svds(A.conj(), 12)
