@@ -73,10 +73,13 @@ _GRAM_ASPECT = 32
 # - complex noise by aspect: 0.63 at 640 x 512, 1.07 at 1024 x 512, 1.50 at
 #   512 x 2048, 1.93 at 2048 x 512, 0.43 at 1024 x 768, 0.84 at 1536 x 768;
 #   real noise, 1.65 at 2048 x 1024;
-# - by r, at 512^2 complex: 0.05 at r = 1, 0.35 at 20, 1.13 at 64, and
+# - by r, at 512^2 complex: 0.04 at r = 1, 0.35 at 20, 1.13 at 64, and
 #   2.39 / 2.45 at r = 256; 5.58 at 1024^2 real noise with r = 512;
 # - the slowest spectra found, linear in [1, 0.5] and in [1, 0.95] at 512^2
-#   complex, r = 20: 1.52 and 1.77 (210 and 246 ms against 139 ms).
+#   complex: 1.39 and 1.74 at r = 20 (127 and 160 ms against 92 ms), and
+#   0.60-0.68 at r = 1 and 2, where the loop runs 140-170 steps; with the
+#   stopping test at every step instead of spaced past _GKL_STEPS, r = 1
+#   took 1.83-2.48.
 _GKL_WORK = 2**30
 
 # Range of ||A||_F^2 in which the solvers take A as it is.  Inside it no
@@ -248,7 +251,8 @@ def _gram_triplet(A: np.ndarray) -> SvdResult:
 def _gkl(A: np.ndarray, r: int, steps: int) -> SvdResult:
     # Golub–Kahan–Lanczos on A itself: the top r Ritz triplets after at
     # most steps steps, r <= steps <= min(m, n).  leading_triplet runs it at
-    # r = 1, where the stopping test runs at every step; svds at r <= k / 2.
+    # r = 1 within _GKL_STEPS, where the stopping test runs at every step;
+    # svds at r <= k / 2, handing a breakdown at r > 1 to _gram_svds.
     m, n = A.shape
     # Basis vectors are rows, so each is contiguous; they take A's dtype.
     # Vb starts zero, so no step reads memory it has not written.
@@ -278,16 +282,26 @@ def _gkl(A: np.ndarray, r: int, steps: int) -> SvdResult:
         u = A @ Vb[k] - alpha[k] * Ub[k]
         u = _reorthogonalize(u, Ub[: k + 1])
         beta[k + 1] = _norm(u, alpha[0])
-        # The test runs every r steps from step r on, and at a breakdown
-        # (beta = 0, which passes it) from step r on.  The budget's last
-        # step takes the Ritz triplets as they are.
         last = k + 1 == steps
-        if last or k + 1 >= r and (beta[k + 1] == 0.0 or (k + 1 - r) % r == 0):
+        if r > 1 and not (last or alpha[k] and beta[k + 1]):
+            # A breakdown before the budget (which for svds is min(m, n),
+            # a full basis): the basis spans an invariant subspace, which
+            # holds one copy of each singular value it meets and none of
+            # the values it misses, so its Ritz triplets need not be the
+            # leading r.  The Gram route has no such gap.
+            return _gram_svds(A, r)
+        # The test, an SVD of L_k, runs at every multiple of r steps, and
+        # past _GKL_STEPS (all of leading_triplet's budget) at every
+        # multiple of max(r, _GKL_STEPS), since at small r the loop can run
+        # hundreds of steps.  At r = 1 a breakdown passes it.  The
+        # budget's last step takes the Ritz triplets as they are.
+        every = r if k < _GKL_STEPS else max(r, _GKL_STEPS)
+        if last or beta[k + 1] == 0.0 or (k + 1) % every == 0:
             L = np.diag(alpha[: k + 1]) + np.diag(beta[1 : k + 1], -1)
             P, s, Qh = np.linalg.svd(L)
             if last or np.all(beta[k + 1] * np.abs(Qh[:r, k]) <= _GKL_TOL * s[0]):
                 break
-        Ub[k + 1] = _unit(u, beta[k + 1], Ub[: k + 1])
+        Ub[k + 1] = u / beta[k + 1]
     # The Ritz triplets of the last L_k, converged or at the budget.
     U = Ub[: k + 1].T @ P[:, :r]
     V = Vb[: k + 1].T @ Qh[:r].T
@@ -365,23 +379,26 @@ def svds(A, r: int) -> SvdResult:
     with a budget of k steps, and the triplets are the top r Ritz triplets
     (sigma_j, U_k p_j, V_k q_j) of its bidiagonal L_k.  The process stops
     when beta |q_j[k]|, the residual ||A v_j - sigma_j u_j|| of each of
-    them, is at most ``_GKL_TOL * sigma_1``; the test runs every r steps
-    from step r on.  Each triplet is then a singular triplet to that
-    tolerance, and U and V are orthonormal to roundoff.  A breakdown, an
-    alpha or beta at most ``_GKL_TOL`` times the first alpha (the Krylov
-    space is exhausted), counts as zero.  A zero beta passes the stopping
-    test once there are r steps; otherwise the next basis vector is a
-    fixed pseudo-random one orthogonalized against the basis, so a matrix
-    of rank below r still gets r orthonormal triplets, zero ones included,
-    and a zero matrix gets (0, e_j, e_j) as :func:`svd` gives them.  The stopping test certifies
-    r singular triplets, not the leading r: as for
-    :func:`leading_triplet`, a singular value whose right vector is
-    orthogonal to the start, or a second copy of a repeated value (which a
-    one-vector Krylov space holds once), enters the process only through
-    roundoff.  A repeated leading value has been found that way in every
-    case tested.  The route's cost grows with its step count, which grows
-    with r and with the flatness of the spectrum; ``_GKL_WORK``'s comment
-    has the measured table.
+    them, is at most ``_GKL_TOL * sigma_1``; the test runs at every
+    multiple of r steps, and past ``_GKL_STEPS`` steps at every multiple
+    of max(r, ``_GKL_STEPS``).  Each triplet is then a singular triplet to
+    that tolerance, and U and V are orthonormal to roundoff.  A breakdown,
+    an alpha or beta at most ``_GKL_TOL`` times the first alpha, means the
+    Krylov space is exhausted: its basis spans an invariant subspace,
+    which holds one copy of each singular value it meets.  At r = 1 a
+    zero beta is a stop; at r > 1 the call takes the Gram route, since the
+    values the subspace misses can be larger than the ones it holds (two
+    values each repeated 256 times break down at step 2, with one copy of
+    each).  A zero matrix gets (0, e_j, e_j) as :func:`svd` gives them.
+    The stopping test certifies r singular triplets, not the leading r:
+    as for :func:`leading_triplet`, a singular value whose right vector is
+    orthogonal to the start, or a second copy of a repeated value when no
+    breakdown occurs, enters the process only through roundoff.  That
+    found every second copy in the cases tested (25 values, each twice),
+    but not 19 more copies: with 21 values in [1, 2], each 24 times, the
+    top 20 came back with some 1.95s in place of 2s.  The route's cost
+    grows with its step count, which grows with r and with the flatness
+    of the spectrum; ``_GKL_WORK``'s comment has the measured table.
 
     The split at k / 2 is where the two routes cost about the same, at
     every size measured.  On 18 shapes from 16 x 16 to 128 x 128 and 4096 x 4, real and

@@ -331,6 +331,30 @@ class TestLeadingTriplet:
         assert np.array_equal(f.U[:, 0], np.eye(40)[0])
         assert np.array_equal(f.V[:, 0], np.eye(30)[0])
 
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_alpha_breakdown_takes_a_fixed_unit_vector(self, monkeypatch, real):
+        # sigma = 1 over a tail of 5e-13: u_1 lies in the tail, so A^H u_1
+        # is below _GKL_TOL * alpha_0 and alpha_1 counts as zero.  The next
+        # right vector is then a fixed pseudo-random one orthogonalized
+        # against the basis, a unit vector and the same on every call.
+        sigma = np.r_[1.0, np.full(19, 5e-13)]
+        A = with_spectrum(np.random.default_rng(0), 30, 20, sigma, real=real)
+        made, real_unit = [], svd_module._unit
+
+        def unit(x, norm, basis):
+            made.append((norm, basis.copy(), real_unit(x, norm, basis)))
+            return made[-1][2]
+
+        monkeypatch.setattr(svd_module, "_unit", unit)
+        f = leading_triplet(A)
+        assert assert_ritz_triplet(A, f) and f.sigma[0] == pytest.approx(1.0, rel=1e-12)
+        breakdowns = [(basis, x) for norm, basis, x in made if norm == 0.0]
+        assert breakdowns
+        for basis, x in breakdowns:
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
+            assert np.abs(basis.conj() @ x).max() <= 1e-15
+            assert np.array_equal(x, real_unit(np.zeros_like(x), 0.0, basis))
+
     @pytest.mark.parametrize(
         "c",
         [2.0**-540, 1e-165, 1e-160, 1e160, 2.0**530],
@@ -530,6 +554,11 @@ def lanczos_case(kind, rng):
         return np.kron(np.eye(2), np.ones((n // 2, n // 2))) + 0j
     if kind == "identity":
         return np.eye(n, dtype=np.complex128)
+    if kind == "two-value":
+        return with_spectrum(rng, n, n, np.r_[np.full(n // 2, 2.0), np.full(n // 2, 1.0)])
+    if kind == "pairs":
+        sigma = np.r_[np.repeat(np.linspace(2.0, 1.0, 25), 2), np.zeros(n - 50)]
+        return with_spectrum(rng, n, n, sigma)
     if kind == "repeated":
         return with_spectrum(rng, n, n, np.r_[3.0, 3.0, 2.0 * 0.99 ** np.arange(n - 2)])
     if kind == "flat":
@@ -632,55 +661,64 @@ class TestSvdsGram:
         assert_gram_triplets(A, data.draw(st.integers(1, min(A.shape) // 2)))
 
     @pytest.mark.parametrize(
-        "kind, r",
+        "kind, r, breakdown",
         [
-            ("gauss", 1),
-            ("gauss", 20),
-            ("gauss", 256),
-            ("tall", 20),
-            ("zero", 20),
-            ("rank-2", 20),
-            ("identity", 20),
-            ("repeated", 20),
-            ("flat", 20),
+            ("gauss", 1, False),
+            ("gauss", 20, False),
+            ("gauss", 256, False),
+            ("tall", 20, False),
+            ("zero", 20, False),
+            ("rank-2", 20, True),
+            ("identity", 20, True),
+            ("two-value", 20, True),
+            ("pairs", 20, True),
+            ("repeated", 20, False),
+            ("flat", 20, False),
         ],
     )
-    def test_lanczos_route(self, routes, kind, r):
-        # svds's Lanczos route, to the tolerances of the Gram side.  At the
-        # zero, rank-2 and identity inputs the process breaks down before
-        # it has r triplets and restarts; a repeated leading value, which a
-        # one-vector Krylov space holds once, is found from roundoff; a
-        # flat spectrum is the slowest case measured.
+    def test_lanczos_route(self, routes, kind, r, breakdown):
+        # svds's Lanczos route, to the tolerances of the Gram side.  The
+        # rank-2, identity and two-value inputs break down before step r,
+        # with one copy of each value in the Krylov space, and the pairs
+        # (25 values, each twice) at step 52, past r, once roundoff has
+        # brought in the second copies: each goes on to the Gram route.
+        # A zero matrix stops before the loop.  A repeated leading value
+        # with no breakdown is found from roundoff; a flat spectrum is the
+        # slowest case measured.
         A = lanczos_case(kind, np.random.default_rng(45))
         f = assert_gram_triplets(A, r)
-        assert routes == [("lanczos", A.shape)]
+        assert routes == [("lanczos", A.shape)] + [("gram", A.shape)] * breakdown
         if kind == "repeated":
             assert f.sigma[1] == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize(
         "case, r, steps, tests",
         [
-            ("gauss", 20, 512, "every r"),
-            ("rank-30", 20, 512, [20, 30]),
-            ("identity", 20, 512, [20]),
+            ("gauss", 20, 512, None),
             ("flat", 3, 10, [3, 6, 9, 10]),
             ("flat", 1, 10, list(range(1, 11))),
+            ("flat-200", 1, 60, list(range(1, 25)) + [48, 60]),
+            ("flat-200", 3, 60, list(range(3, 25, 3)) + [48, 60]),
+            ("flat-200", 30, 100, [30, 60, 90, 100]),
+            ("rank-30", 1, 512, list(range(1, 25)) + [30]),
+            ("identity", 1, 512, [1]),
         ],
     )
     def test_stopping_test_cadence(self, monkeypatch, case, r, steps, tests):
         # The Lanczos loop's stopping test, one SVD of L_k per run, runs
-        # every r steps from step r on, at a breakdown (beta = 0) from
-        # step r on, and at the budget's last step.  On noise it stops at
-        # one of those steps, converged.  A diagonal of rank 30 keeps every
-        # basis vector on its 30 coordinates, so at r = 20 it breaks down
-        # at step 30; the identity breaks down at every step, and restarts
-        # until step r.
+        # at every multiple of r steps, past _GKL_STEPS at every multiple
+        # of max(r, _GKL_STEPS), at a breakdown (beta = 0, at r = 1 a stop)
+        # and at the budget's last step.  On noise it stops at one of those
+        # steps, converged.  A diagonal of rank 30 keeps every basis vector
+        # on its 30 coordinates, so it breaks down at step 30; the identity
+        # breaks down at step 1.
         rng = np.random.default_rng(46)
         A = {
             "gauss": lambda: cplx(rng, 512, 512),
             "rank-30": lambda: np.diag(np.r_[np.linspace(1.0, 0.5, 30), np.zeros(482)]) + 0j,
             "identity": lambda: np.eye(512, dtype=np.complex128),
             "flat": lambda: with_spectrum(rng, 40, 30, 0.99 ** np.arange(30)),
+            "flat-200": lambda: with_spectrum(rng, 200, 200, np.linspace(1.0, 0.5, 200)),
         }[case]()
         sizes, real_svd = [], np.linalg.svd
         monkeypatch.setattr(
@@ -688,8 +726,10 @@ class TestSvdsGram:
         )
         f = svd_module._gkl(A, r, steps)
         monkeypatch.undo()
-        if tests == "every r":
-            assert sizes == list(range(r, sizes[-1] + 1, r)) and sizes[-1] < steps
+        if tests is None:
+            budget, late = svd_module._GKL_STEPS, max(r, svd_module._GKL_STEPS)
+            every = [j for j in range(1, steps) if j % (r if j <= budget else late) == 0]
+            assert sizes == every[: len(sizes)] and sizes[-1] < steps
             assert np.linalg.norm(A @ f.V - f.U * f.sigma, axis=0).max() <= 1e-11 * f.sigma[0]
         else:
             assert sizes == tests
