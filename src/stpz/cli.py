@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .codec import Method, deserialize, serialize, storage_count
+from .codec import Method, _header, deserialize, serialize, storage_count
 from .decomp import IMAG_TOL, decode_samples, reconstruct, t_svd_trunc, tensor_stp_svd_trunc
 from .errors import DimensionError, FormatError, NumericError
 from .nkp import _split
@@ -127,12 +127,13 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    F = deserialize(Path(args.input).read_bytes())
-    l = F.dims[4]
+    # l is refused from the header, before deserialize builds any slice.
+    data = Path(args.input).read_bytes()
+    l = _header(data)[1][4]
     if l not in (1, 3):
         # 24 is the byte offset of the container's l field.
         raise FormatError(f"container has {l} slices; an image needs 1 or 3", 24)
-    samples, residue = decode_samples(F)
+    samples, residue = decode_samples(deserialize(data))
     warn = residue > IMAG_TOL
     if warn:
         print("warning: reconstruction had non-negligible imaginary part", file=sys.stderr)

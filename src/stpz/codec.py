@@ -137,11 +137,9 @@ def serialize(F: TensorStpSvd) -> bytes:
     return b"".join(parts)
 
 
-def deserialize(data: bytes) -> TensorStpSvd:
-    """Decode an STPZ v1 container, bytes or any bytes-like object; exact
-    inverse of :func:`serialize`.  The header, the pixel cap and the file's
-    exact length are checked before any payload byte is read, and each field
-    is copied out of ``data``."""
+def _header(data: bytes) -> tuple[int, list[int]]:
+    """The flags and dims (m1, m2, n1, n2, l) of an STPZ v1 container, from
+    its first 28 bytes, checked up to the pixel cap."""
     if data[:4] != MAGIC:
         raise FormatError("bad magic, not an STPZ container", 0)
     if len(data) < 28:
@@ -155,10 +153,19 @@ def deserialize(data: bytes) -> TensorStpSvd:
         raise FormatError("reserved header bytes are nonzero", 6)
     if min(dims) < 1:
         raise FormatError(f"non-positive dimension in {tuple(dims)}", 8)
-    m1, m2, n1, n2, l = dims
-    pixels = m1 * m2 * n1 * n2
+    pixels = math.prod(dims[:4])
     if pixels > MAX_PIXELS:
         raise FormatError(f"{pixels} pixels exceed the cap of {MAX_PIXELS} (codec.MAX_PIXELS)", 8)
+    return flags, dims
+
+
+def deserialize(data: bytes) -> TensorStpSvd:
+    """Decode an STPZ v1 container, bytes or any bytes-like object; exact
+    inverse of :func:`serialize`.  The header, the pixel cap and the file's
+    exact length are checked before any payload byte is read, and each field
+    is copied out of ``data``."""
+    flags, dims = _header(data)
+    m1, _, n1, _, l = dims
     at = 28 + 4 * l
     if len(data) < at:
         raise FormatError("truncated container: expected rank vector", 28)

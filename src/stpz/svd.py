@@ -172,9 +172,9 @@ def leading_triplet(A) -> SvdResult:
     real lower bidiagonal, so the Ritz triplet (sigma, U_k p, V_k q) from
     the leading SVD of L_k has residual ||A v - sigma u|| = |beta q_k|.
     The process stops when that is at most ``_GKL_TOL * sigma``, or after
-    ``_GKL_STEPS`` steps.  A rank-deficient input (for example the
-    rearrangement of an exact Kronecker product, of rank 1) breaks down
-    with beta = 0, which is such a stop.  A zero input gives (0, e_1, e_1)
+    ``_GKL_STEPS`` steps.  A breakdown, a zero alpha or a zero beta (an
+    exhausted Krylov space, as for the rearrangement of an exact Kronecker
+    product, of rank 1), is such a stop.  A zero input gives (0, e_1, e_1)
     as :func:`svd` does.  A nonzero input with A w = 0 starts once more,
     from its column of largest norm.  The result has one column and
     follows :func:`svd`'s phase convention, and is real, from a real
@@ -248,11 +248,12 @@ def _gram_triplet(A: np.ndarray) -> SvdResult:
     return SvdResult(U=U, sigma=np.array([sigma]), V=V)
 
 
-def _gkl(A: np.ndarray, r: int, steps: int) -> SvdResult:
+def _gkl(A: np.ndarray, r: int, steps: int) -> SvdResult | None:
     # Golub–Kahan–Lanczos on A itself: the top r Ritz triplets after at
-    # most steps steps, r <= steps <= min(m, n).  leading_triplet runs it at
-    # r = 1 within _GKL_STEPS, where the stopping test runs at every step;
-    # svds at r <= k / 2, handing a breakdown at r > 1 to _gram_svds.
+    # most steps steps, r <= steps <= min(m, n), or None for a breakdown
+    # before the budget at r > 1.  leading_triplet runs it at r = 1 within
+    # _GKL_STEPS, where the stopping test runs at every step; svds at
+    # r <= k / 2, and takes the Gram route on None.
     m, n = A.shape
     # Basis vectors are rows, so each is contiguous; they take A's dtype.
     # Vb starts zero, so no step reads memory it has not written.
@@ -272,28 +273,33 @@ def _gkl(A: np.ndarray, r: int, steps: int) -> SvdResult:
         beta[0] = np.linalg.norm(u)
     Ub[0] = u / beta[0]
     for k in range(steps):
-        # v_k = A^H u_k - beta_k v_{k-1}, computed as conj(u_k^H A)
+        # v_k = A^H u_k - beta_k v_{k-1}, computed as conj(u_k^H A); at
+        # k = 0, Vb[-1] is still a zero row.
         v = np.conj(Ub[k].conj() @ A)
-        if k:
-            v -= beta[k] * Vb[k - 1]
+        v -= beta[k] * Vb[k - 1]
         v = _reorthogonalize(v, Vb[:k])
         alpha[k] = _norm(v, alpha[0])
-        Vb[k] = _unit(v, alpha[k], Vb[:k])
+        # A zero alpha leaves Vb[k] a zero row, so u and beta_{k+1} come
+        # out zero: one breakdown rule, a zero beta, covers both.
+        if alpha[k]:
+            Vb[k] = v / alpha[k]
         u = A @ Vb[k] - alpha[k] * Ub[k]
         u = _reorthogonalize(u, Ub[: k + 1])
         beta[k + 1] = _norm(u, alpha[0])
         last = k + 1 == steps
-        if r > 1 and not (last or alpha[k] and beta[k + 1]):
+        if r > 1 and beta[k + 1] == 0.0 and not last:
             # A breakdown before the budget (which for svds is min(m, n),
             # a full basis): the basis spans an invariant subspace, which
             # holds one copy of each singular value it meets and none of
             # the values it misses, so its Ritz triplets need not be the
-            # leading r.  The Gram route has no such gap.
-            return _gram_svds(A, r)
+            # leading r.
+            return None
         # The test, an SVD of L_k, runs at every multiple of r steps, and
         # past _GKL_STEPS (all of leading_triplet's budget) at every
         # multiple of max(r, _GKL_STEPS), since at small r the loop can run
-        # hundreds of steps.  At r = 1 a breakdown passes it.  The
+        # hundreds of steps.  At r = 1 a breakdown passes it, with
+        # beta_{k+1} = 0; after a zero alpha, L_k's last column is zero, so
+        # Qh[0, k] is too and the zero row Vb[k] does not reach V.  The
         # budget's last step takes the Ritz triplets as they are.
         every = r if k < _GKL_STEPS else max(r, _GKL_STEPS)
         if last or beta[k + 1] == 0.0 or (k + 1) % every == 0:
@@ -316,17 +322,6 @@ def _norm(x: np.ndarray, alpha0: float) -> float:
     # basis.  Dropping it changes L by less than the stopping tolerance.
     norm = np.linalg.norm(x)
     return 0.0 if norm <= _GKL_TOL * alpha0 else norm
-
-
-def _unit(x: np.ndarray, norm: float, basis: np.ndarray) -> np.ndarray:
-    # x / norm, or at a breakdown (norm = 0) a fixed pseudo-random unit
-    # vector orthogonal to the basis rows, of which there are fewer than
-    # x.size.  The recurrence goes on from it with a zero entry in L, which
-    # is still U_k^H A V_k.
-    if norm == 0.0:
-        x = _reorthogonalize(np.random.default_rng(len(basis)).standard_normal(x.size), basis)
-        norm = np.linalg.norm(x)
-    return x / norm
 
 
 def _reorthogonalize(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -386,10 +381,11 @@ def svds(A, r: int) -> SvdResult:
     an alpha or beta at most ``_GKL_TOL`` times the first alpha, means the
     Krylov space is exhausted: its basis spans an invariant subspace,
     which holds one copy of each singular value it meets.  At r = 1 a
-    zero beta is a stop; at r > 1 the call takes the Gram route, since the
-    values the subspace misses can be larger than the ones it holds (two
-    values each repeated 256 times break down at step 2, with one copy of
-    each).  A zero matrix gets (0, e_j, e_j) as :func:`svd` gives them.
+    zero alpha or a zero beta stops the process; at r > 1 the call takes
+    the Gram route, since the values the subspace misses can be larger
+    than the ones it holds (two values each repeated 256 times break down
+    at step 2, with one copy of each).  A zero matrix gets (0, e_j, e_j)
+    as :func:`svd` gives them.
     The stopping test certifies r singular triplets, not the leading r:
     as for :func:`leading_triplet`, a singular value whose right vector is
     orthogonal to the start, or a second copy of a repeated value when no
@@ -412,7 +408,8 @@ def svds(A, r: int) -> SvdResult:
         raise DimensionError(f"truncation rank {r} out of range [1, {k}]")
     if 2 * r <= k and _scale(A, "svds")[1] == 1.0:
         if k**4 * (8 if np.iscomplexobj(A) else 1) >= _GKL_WORK * max(A.shape):
-            return _gkl(np.ascontiguousarray(A), r, k)
+            A = np.ascontiguousarray(A)
+            return _gkl(A, r, k) or _gram_svds(A, r)
         return _gram_svds(A, r)
     full = svd(A)
     return SvdResult(U=full.U[:, :r].copy(), sigma=full.sigma[:r].copy(), V=full.V[:, :r].copy())

@@ -123,14 +123,13 @@ def frobenius_norm(A) -> float:
 
 
 def conj_transpose(A) -> np.ndarray:
-    """Conjugate-transpose each slice, then reverse the order of slices 2..n3."""
-    A = as_tensor3(A)
-    out = np.conj(A.transpose(1, 0, 2))
-    return np.concatenate([out[:, :, :1], out[:, :, :0:-1]], axis=2)
+    """Conjugate-transpose each slice, then reverse the order of slices 2..n3:
+    the conjugate of :func:`transpose`."""
+    return np.conj(transpose(A))
 
 
 def transpose(A) -> np.ndarray:
-    """Like :func:`conj_transpose` but with plain per-slice transposes."""
+    """Transpose each slice, then reverse the order of slices 2..n3."""
     A = as_tensor3(A)
     out = A.transpose(1, 0, 2)
     return np.concatenate([out[:, :, :1], out[:, :, :0:-1]], axis=2)

@@ -115,3 +115,11 @@ def rank_zero_container() -> bytes:
     or V at all."""
     header = struct.pack("<4sBBH5I3I", b"STPZ", 1, 1, 0, 2000, 1, 2000, 1, 3, 0, 0, 0)
     return header + np.array([128.0, 0.0] * 3, dtype="<f8").tobytes()
+
+
+def many_slice_container(l: int) -> bytes:
+    """A valid STPZ container of l gray slices, each 1 x 1 at R = 1 with
+    every scalar 1: 28 + 60 l bytes, which deserialize reads into l
+    MatStpSvd factors."""
+    header = struct.pack(f"<4sBBH5I{l}I", b"STPZ", 1, 0, 0, 1, 1, 1, 1, l, *[1] * l)
+    return header + np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0] * l, dtype="<f8").tobytes()

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import rank_zero_container, textured_samples
-from stpz import cli, decomp
+from helpers import many_slice_container, rank_zero_container, textured_samples
+from stpz import cli, codec, decomp
 from stpz.cli import main, run_method
 from stpz.codec import Method, deserialize, serialize, storage_count
 from stpz.decomp import (
@@ -333,6 +333,19 @@ class TestExitCodes:
         assert "offset 24" in capsys.readouterr().err
         code, report = run(capsys, "info", "--input", packed)
         assert code == 0 and report["l"] == 2
+
+    def test_many_slice_container_is_refused_from_its_header(self, tmp_path, capsys, monkeypatch):
+        # 1,000 slices, each 1 x 1: decompress refuses l at offset 24 from
+        # the header, before deserialize builds any slice.
+        built = []
+        monkeypatch.setattr(codec, "MatStpSvd", lambda **f: built.append(f) or MatStpSvd(**f))
+        packed, out = tmp_path / "many.stpz", tmp_path / "many.ppm"
+        packed.write_bytes(many_slice_container(1000))
+        assert main(["decompress", "--input", str(packed), "--output", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "container has 1000 slices; an image needs 1 or 3 (at byte offset 24)" in err
+        assert built == [] and not out.exists()
+        assert deserialize(packed.read_bytes()).dims[4] == 1000 and len(built) == 1000
 
     def test_corrupt_image_exit_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.ppm"

@@ -332,28 +332,31 @@ class TestLeadingTriplet:
         assert np.array_equal(f.V[:, 0], np.eye(30)[0])
 
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
-    def test_alpha_breakdown_takes_a_fixed_unit_vector(self, monkeypatch, real):
+    def test_alpha_breakdown_stops_the_process(self, monkeypatch, real):
         # sigma = 1 over a tail of 5e-13: u_1 lies in the tail, so A^H u_1
-        # is below _GKL_TOL * alpha_0 and alpha_1 counts as zero.  The next
-        # right vector is then a fixed pseudo-random one orthogonalized
-        # against the basis, a unit vector and the same on every call.
+        # is below _GKL_TOL * alpha_0 and alpha_1 counts as zero.  v_1 then
+        # stays a zero row, so beta_2 is zero as well, and the stopping test
+        # at that step, the last SVD of L_k, ends the process with no
+        # division by zero.
         sigma = np.r_[1.0, np.full(19, 5e-13)]
         A = with_spectrum(np.random.default_rng(0), 30, 20, sigma, real=real)
-        made, real_unit = [], svd_module._unit
-
-        def unit(x, norm, basis):
-            made.append((norm, basis.copy(), real_unit(x, norm, basis)))
-            return made[-1][2]
-
-        monkeypatch.setattr(svd_module, "_unit", unit)
-        f = leading_triplet(A)
+        norms, sizes = [], []
+        real_norm, real_svd = svd_module._norm, np.linalg.svd
+        monkeypatch.setattr(
+            svd_module, "_norm", lambda x, alpha0: norms.append(real_norm(x, alpha0)) or norms[-1]
+        )
+        monkeypatch.setattr(np.linalg, "svd", lambda L: sizes.append(L.shape[0]) or real_svd(L))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = leading_triplet(A)
+        monkeypatch.undo()
+        # The norms alternate alpha_0, beta_1, alpha_1, beta_2, ...
+        alphas, betas = norms[0::2], norms[1::2]
+        k = alphas.index(0.0)
+        assert k > 0 and 0.0 not in betas[:k]
+        assert len(alphas) == len(betas) == k + 1 and betas[k] == 0.0
+        assert sizes[-1] == k + 1
         assert assert_ritz_triplet(A, f) and f.sigma[0] == pytest.approx(1.0, rel=1e-12)
-        breakdowns = [(basis, x) for norm, basis, x in made if norm == 0.0]
-        assert breakdowns
-        for basis, x in breakdowns:
-            assert abs(np.linalg.norm(x) - 1.0) <= 1e-15
-            assert np.abs(basis.conj() @ x).max() <= 1e-15
-            assert np.array_equal(x, real_unit(np.zeros_like(x), 0.0, basis))
 
     @pytest.mark.parametrize(
         "c",
@@ -563,6 +566,8 @@ def lanczos_case(kind, rng):
         return with_spectrum(rng, n, n, np.r_[3.0, 3.0, 2.0 * 0.99 ** np.arange(n - 2)])
     if kind == "flat":
         return with_spectrum(rng, n, n, np.linspace(1.0, 0.5, n))
+    if kind == "spike":
+        return with_spectrum(rng, n, n, np.r_[1.0, np.full(n - 1, 5e-13)])
     return cplx(rng, 640, 576) if kind == "tall" else cplx(rng, n, n)
 
 
@@ -672,6 +677,7 @@ class TestSvdsGram:
             ("identity", 20, True),
             ("two-value", 20, True),
             ("pairs", 20, True),
+            ("spike", 2, True),
             ("repeated", 20, False),
             ("flat", 20, False),
         ],
@@ -681,7 +687,8 @@ class TestSvdsGram:
         # rank-2, identity and two-value inputs break down before step r,
         # with one copy of each value in the Krylov space, and the pairs
         # (25 values, each twice) at step 52, past r, once roundoff has
-        # brought in the second copies: each goes on to the Gram route.
+        # brought in the second copies.  A spike of 1 over a tail of 5e-13
+        # breaks down with a zero alpha_1.  Each goes on to the Gram route.
         # A zero matrix stops before the loop.  A repeated leading value
         # with no breakdown is found from roundoff; a flat spectrum is the
         # slowest case measured.
@@ -751,14 +758,18 @@ class TestSvdsGram:
         assert gram_calls == [(80, 5)]
 
     def test_deterministic_bitwise(self, routes):
+        # A copy gives the same bits, and so does a Fortran-ordered one:
+        # the Lanczos route reads A in C order, as the Gram route does.
         rng = np.random.default_rng(42)
         for shape in [(70, 90), (512, 512)]:
             A = cplx(rng, *shape)
-            f1, f2 = svds(A, 12), svds(A.copy(), 12)
-            assert np.array_equal(f1.U, f2.U)
-            assert np.array_equal(f1.sigma, f2.sigma)
-            assert np.array_equal(f1.V, f2.V)
-        assert [route for route, _ in routes] == ["gram"] * 2 + ["lanczos"] * 2
+            f1 = svds(A, 12)
+            for B in (A.copy(), np.asfortranarray(A)):
+                f2 = svds(B, 12)
+                assert np.array_equal(f1.U, f2.U)
+                assert np.array_equal(f1.sigma, f2.sigma)
+                assert np.array_equal(f1.V, f2.V)
+        assert [route for route, _ in routes] == ["gram"] * 3 + ["lanczos"] * 3
 
     @pytest.mark.parametrize("shape", [(90, 70), (70, 90), (512, 512)])
     def test_conjugate_input_gives_conjugate_factors(self, shape):
