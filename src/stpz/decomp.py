@@ -39,7 +39,7 @@ from .errors import DimensionError, FormatError
 from .imaging import _round_samples
 from .nkp import _block_view, _blocks, _split, nkp
 from .svd import _fix_phases, svd, svds
-from .tensor import as_array3, as_tensor3, conj_transpose, dft3, idft3
+from .tensor import _BAND, _bands, as_array3, as_tensor3, conj_transpose, dft3, idft3
 from .products import t_product
 
 __all__ = [
@@ -374,7 +374,8 @@ def reconstruct(F, drop_imag: bool = False):
 
     Accepts :class:`MatStpSvd` (returns a matrix), :class:`TensorStpSvd`
     (per-slice reconstruction in the Fourier domain followed by the inverse
-    DFT), or :class:`TSvdFactors` (t-product chain U * S * V^H).  With
+    DFT, taken band by band in the one complex output), or
+    :class:`TSvdFactors` (t-product chain U * S * V^H).  With
     ``drop_imag`` the imaginary part is discarded, which is lossless up to
     roundoff when the decomposed input was real.
     """
@@ -385,7 +386,8 @@ def reconstruct(F, drop_imag: bool = False):
         out = np.empty((m1 * m2, n1 * n2, l), dtype=np.complex128)
         for i, s in enumerate(F.slices):
             out[:, :, i] = _reconstruct_mat_slice(s)
-        out = idft3(out)
+        for b in _bands(m1 * m2, n1 * n2 * l):
+            out[b] = idft3(out[b])
     elif isinstance(F, TSvdFactors):
         out = t_product(t_product(F.U, F.S), conj_transpose(F.V))
     else:
@@ -466,15 +468,6 @@ def _decode_terms(F: TensorStpSvd):
     return left, right
 
 
-# Plane entries that one band of the decoder computes, checks and rounds, so
-# that they stay in cache.  Measured on 2 vCPU (numpy 2.4), median of 21
-# decode_samples calls on paired RGB containers: 2^16 took 2.1 ms at 512^2
-# (m2 = 8, R = 20), 6.9 and 6.1 ms at 1024^2 (m2 = 8, R = 20; m2 = 32,
-# R = 8) and 23.5 ms at 2048^2 (m2 = 32, R = 8), 2^17 within 7% of that,
-# 2^14 up to 1.35x and 2^18 up to 1.2x slower.
-_BAND = 1 << 16
-
-
 # A decode whose imaginary residue exceeds this in modulus is not a real
 # image; ``stpz decompress`` then sets imag_warning.
 IMAG_TOL = 1e-6
@@ -494,8 +487,8 @@ def decode_samples(F: TensorStpSvd) -> tuple[np.ndarray, float]:
     measured.
 
     No complex (m, n, l) tensor, no whole plane and no whole right side:
-    one loop over bands of about ``_BAND`` entries of the rearranged real
-    plane (whole blocks of output rows, or rows of one block) takes each
+    one loop over bands of about ``tensor._BAND`` entries of the rearranged
+    real plane (whole blocks of output rows, or rows of one block) takes each
     band's real GEMM of :func:`_decode_terms`, from the terms of its rows
     of the B and C factors, checks it, rounds it in place by
     ``tensor_to_image``'s rule and un-rearranges it into its output rows,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, FormatError, NumericError
-from .tensor import as_array3
+from .tensor import _bands, as_array3
 
 __all__ = [
     "ImageBuffer",
@@ -147,31 +147,39 @@ def image_to_tensor(img: ImageBuffer) -> np.ndarray:
     return img.samples.astype(np.complex128)
 
 
-def _round_samples(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _round_samples(x: np.ndarray, out: np.ndarray) -> None:
     """The 8-bit rounding floor(clip(x, 0, 255) + 0.5), in place on float64 x:
     x + 0.5 clamped to [0.5, 255.5] clamps x to [0, 255]; the cast floors.
-    The samples go to a new uint8 array, or into ``out`` (of x's shape)."""
+    The samples go into the uint8 array ``out`` (of x's shape)."""
     x += 0.5
     np.clip(x, 0.5, 255.5, out=x)
-    if out is None:
-        return x.astype(np.uint8)
     np.copyto(out, x, casting="unsafe")
-    return out
 
 
 def tensor_to_image(A) -> ImageBuffer:
     """Inverse of :func:`image_to_tensor` for tensors with 1 or 3 slices.
 
-    A float64 copy of the real part goes through :func:`_round_samples`, the
-    rounding that :func:`stpz.decomp.decode_samples` also uses; the
-    imaginary part is dropped unread.  A real tensor is taken as it is, with
-    no complex copy, and ``A`` is never modified.  Infinities clamp to 0 and
-    255; a NaN sample raises NumericError.
+    The real part goes through :func:`_round_samples`, the rounding that
+    :func:`stpz.decomp.decode_samples` also uses, in bands of rows of about
+    ``tensor._BAND`` entries: each band's float64 copy is rounded straight
+    into the uint8 output, so the working memory is the output plus one
+    band.  The imaginary part is dropped unread.  A real tensor is taken as
+    it is, with no complex copy, and ``A`` is never modified.  Infinities
+    clamp to 0 and 255; a NaN sample raises NumericError.  A third extent
+    other than 1 or 3 raises DimensionError before any rounding.
     """
-    x = np.array(as_array3(A).real, dtype=np.float64)
-    if np.isnan(x).any():
-        raise NumericError("cannot convert a NaN sample to 8 bits")
-    return ImageBuffer(_round_samples(x))
+    A = as_array3(A)
+    h, w, c = A.shape
+    if c not in (1, 3):
+        raise DimensionError(f"expected 1 or 3 slices, got {c}")
+    out = np.empty((h, w, c), dtype=np.uint8)
+    for b in _bands(h, w * c):
+        x = np.array(A[b].real, dtype=np.float64)
+        if np.isnan(x).any():
+            raise NumericError("cannot convert a NaN sample to 8 bits")
+        _round_samples(x, out[b])
+        del x  # before the next band's copy
+    return ImageBuffer(out)
 
 
 def _check_same_shape(ref: ImageBuffer, test: ImageBuffer) -> None:

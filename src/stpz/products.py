@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import as_tensor3, dft3, idft3
+from .tensor import _bands, as_tensor3, dft3, idft3
 
 __all__ = [
     "kron_mat",
@@ -86,8 +86,12 @@ def kron_tensor(A, B) -> np.ndarray:
 def t_product(A, B) -> np.ndarray:
     """t-product of an n1 x n2 x n3 tensor with an n2 x l x n3 tensor.
 
-    Computed slice-wise in the Fourier domain, as one batched matrix product
-    over the slices; equals fold(bcirc(A) @ unfold(B)).
+    Computed slice-wise in the Fourier domain; equals
+    fold(bcirc(A) @ unfold(B)).  The output is taken in bands of rows of
+    about ``tensor._BAND`` entries: each band's batched matrix product over
+    the slices goes through :func:`idft3` into the one n1 x l x n3 output,
+    so the working memory past the output and the inputs' DFTs is two
+    bands.
     """
     A = as_tensor3(A)
     B = as_tensor3(B)
@@ -101,7 +105,11 @@ def t_product(A, B) -> np.ndarray:
         )
     Ah = np.moveaxis(dft3(A), 2, 0)
     Bh = np.moveaxis(dft3(B), 2, 0)
-    return idft3(np.moveaxis(Ah @ Bh, 0, 2))
+    n1, l, n3 = A.shape[0], B.shape[1], A.shape[2]
+    out = np.empty((n1, l, n3), dtype=np.complex128)
+    for b in _bands(n1, l * n3):
+        out[b] = idft3(np.moveaxis(Ah[:, b] @ Bh, 0, 2))
+    return out
 
 
 def stp_tensor(A, B) -> np.ndarray:

@@ -13,6 +13,8 @@ block-circulant expansion of ``A`` is similarity-diagonalized by
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .errors import DimensionError
@@ -34,6 +36,27 @@ __all__ = [
     "is_f_diagonal",
     "is_unitary_tensor",
 ]
+
+# Entries of one band of the banded passes: the STP decoder's plane,
+# ``products.t_product``'s product and inverse DFT, ``decomp.reconstruct``'s
+# inverse DFT and ``imaging.tensor_to_image``'s rounding.  A band stays in
+# cache, and no full-size temporary is made.  Measured on 2 vCPU (numpy
+# 2.4), median of 21 decode_samples calls on paired RGB containers: 2^16
+# took 2.1 ms at 512^2 (m2 = 8, R = 20), 6.9 and 6.1 ms at 1024^2 (m2 = 8,
+# R = 20; m2 = 32, R = 8) and 23.5 ms at 2048^2 (m2 = 32, R = 8), 2^17
+# within 7% of that, 2^14 up to 1.35x and 2^18 up to 1.2x slower.
+_BAND = 1 << 16
+
+
+def _bands(n: int, row: int) -> Iterator[slice]:
+    """Rows 0..n in bands of about ``_BAND`` entries, for rows of ``row``
+    entries.  No band has one row unless n = 1: numpy's matmul takes a
+    one-row operand by its vector route, whose bits differ from the matrix
+    route's, so a band has at least two rows, and a lone last row joins the
+    band before it."""
+    rows = max(2, _BAND // row)
+    for a in range(0, max(n - 1, 1), rows):
+        yield slice(a, a + rows if a + rows < n - 1 else n)
 
 
 def as_array3(a) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from stpz.decomp import (
     TensorStpSvd,
     decode_samples,
     reconstruct,
+    t_svd_trunc,
     tensor_stp_svd_trunc,
 )
 from stpz.errors import DimensionError, NumericError
@@ -492,6 +494,23 @@ class TestBenchInfo:
         img = structured_test_image(height=24, width=24, m2=4, n2=4, rank=3, seed=7)
         with pytest.raises(DimensionError, match="m2 = 5 does not divide height 24"):
             run_method(img, "tsvd", 5, 4, [2] * 3)
+
+    def test_tsvd_decode_stays_under_the_factorization_peak(self):
+        # At the compare shape (512^2 RGB, rank 20) the T-SVD factorization
+        # sets the traced peak; its decode, reconstruct and tensor_to_image,
+        # adds at most 1 MiB to it.  The one-shot t_product and the float64
+        # copy in tensor_to_image took it about 10 MiB higher.
+        img = ImageBuffer(textured_samples(np.random.default_rng(43), 512, 512, 3))
+        peaks = []
+        for f in (lambda: t_svd_trunc(img.samples, [20] * 3),
+                  lambda: run_method(img, "tsvd", 8, 8, [20] * 3)):
+            tracemalloc.start()
+            try:
+                f()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**20, [p / 2**20 for p in peaks]
 
     def test_run_method_rejects_unknown_method(self):
         img = structured_test_image(height=24, width=24, m2=4, n2=4, rank=3, seed=7)

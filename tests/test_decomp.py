@@ -30,6 +30,7 @@ from stpz.nkp import nkp, rearrange
 from stpz.svd import SvdResult, svd
 from stpz.synthetic import structured_test_image
 from stpz.tensor import (
+    _BAND,
     dft3,
     frobenius_norm,
     identity_tensor,
@@ -203,6 +204,40 @@ class TestTensorStpSvd:
         assert np.array_equal(s.sigma, G.sigma)
         assert np.array_equal(s.C, G.C)
         assert np.array_equal(s.V, G.V)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_banded_inverse_dft_matches_the_one_shot(self, l):
+        # Rows of 4096 * l entries: heights one row below, at and above a
+        # band of rows, and a lone row past two bands.  reconstruct agrees
+        # bitwise with one inverse DFT of the stacked slices.
+        rng = np.random.default_rng(12)
+        rows = max(2, _BAND // (4096 * l))
+        for m1 in sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows + 1}):
+            slices = [
+                MatStpSvd(U=cplx(rng, m1, 1), sigma=np.ones(1), C=cplx(rng, 1, 4),
+                          V=cplx(rng, 1024, 1))
+                for _ in range(l)
+            ]
+            F = TensorStpSvd(slices=slices, real_input=False)
+            want = idft3(np.stack([reconstruct(s) for s in slices], axis=2))
+            assert same_bytes(reconstruct(F), want), m1
+            assert same_bytes(reconstruct(F, drop_imag=True), want.real.copy()), m1
+
+    def test_reconstruct_keeps_no_second_full_size_tensor(self):
+        # 512^2 RGB: a 12 MiB output, whose inverse DFT took a second 12 MiB
+        # array.  np.kron builds each 4 MiB slice through a temporary of its
+        # size, so the peak is the output, two slices and one band.
+        A = textured_samples(np.random.default_rng(13), 512, 512, 3)
+        F = tensor_stp_svd_trunc(A, 8, 8, [20] * 3)
+        tracemalloc.start()
+        try:
+            out = reconstruct(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band = 16 * 512 * 3 * (_BAND // (512 * 3))
+        bound = out.nbytes + 2 * out.nbytes // 3 + band + 2**18
+        assert peak <= bound, (peak / 2**20, bound / 2**20)
 
     def test_parseval_error_identity(self):
         rng = np.random.default_rng(11)

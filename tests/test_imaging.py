@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import same_bytes
 from stpz import imaging
 from stpz.errors import DimensionError, FormatError, NumericError
+from stpz.tensor import _BAND
 from stpz.imaging import (
     ImageBuffer,
     image_to_tensor,
@@ -193,6 +194,11 @@ class TestImageBuffer:
         with pytest.raises(DimensionError, match="lie in 0..255"):
             ImageBuffer(np.array([[bad]], dtype=np.int16))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 2), (2, 3, 4), (1, 2, 3, 1)])
+    def test_samples_must_be_height_width_1_or_3(self, shape):
+        with pytest.raises(DimensionError, match=r"\(height, width, 1\|3\)"):
+            ImageBuffer(np.zeros(shape, dtype=np.uint8))
+
     def test_uint8_is_kept_and_integers_in_range_are_cast(self):
         x = np.zeros((2, 3, 1), dtype=np.uint8)
         assert ImageBuffer(x).samples is x
@@ -248,6 +254,57 @@ class TestTensorConversion:
     def test_unsupported_channels(self):
         with pytest.raises(DimensionError):
             tensor_to_image(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_unsupported_channels_are_refused_before_rounding(self, monkeypatch, c):
+        calls = []
+        monkeypatch.setattr(imaging, "_round_samples", lambda *a: calls.append(a))
+        A = np.zeros((3, 4, c))
+        with pytest.raises(DimensionError, match=f"got {c}"):
+            tensor_to_image(A)
+        assert calls == []
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_nan_in_the_last_band_raises_and_leaves_the_input(self, complex_input):
+        # 2^16 entries per band at 600 x 3 entries a row: 36 rows a band, so
+        # 100 rows are three bands, the first two rounded before the NaN.
+        rng = np.random.default_rng(6)
+        A = rng.uniform(-20.0, 275.0, size=(100, 600, 3))
+        if complex_input:
+            A = A + 1j * rng.uniform(-1.0, 1.0, size=A.shape)
+        A[-1, -1, -1] = np.nan
+        before = A.copy()
+        with pytest.raises(NumericError, match="NaN"):
+            tensor_to_image(A)
+        assert same_bytes(A, before)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_bands_round_like_the_whole_tensor(self, c):
+        # Heights one row below, at and above a band of rows, and a lone row
+        # past two bands: every sample by floor(clip(x, 0, 255) + 0.5).
+        rng = np.random.default_rng(7)
+        w = 500
+        rows = _BAND // (w * c)
+        for h in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1):
+            x = rng.uniform(-20.0, 275.0, size=(h, w, c))
+            x.flat[::7] = np.floor(x.flat[::7]) + 0.5
+            want = np.floor(np.clip(x, 0.0, 255.0) + 0.5).astype(np.uint8)
+            assert same_bytes(tensor_to_image(x).samples, want), h
+            assert same_bytes(tensor_to_image(x - 1j).samples, want), h
+
+    def test_traced_peak_is_the_output_plus_one_band(self):
+        # The T-SVD decode's input: a 512^2 RGB complex tensor.  A float64
+        # copy of the whole real part took 6 MiB.
+        A = np.random.default_rng(8).uniform(-20.0, 275.0, size=(512, 512, 3)) + 0j
+        tracemalloc.start()
+        try:
+            out = tensor_to_image(A).samples
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A band's float64 copy and its NaN mask.
+        band = 9 * 512 * 3 * (_BAND // (512 * 3))
+        assert peak <= out.nbytes + band + 2**16, peak / 2**20
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
     def test_real_tensor_gives_the_samples_of_its_complex_copy(self, dtype):

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import cplx, rel_err
+from helpers import cplx, rel_err, same_bytes
 from stpz.errors import DimensionError
 from stpz.products import kron_mat, kron_tensor, stp_mat, stp_tensor, stp_vec, t_product
-from stpz.tensor import bcirc, fold, identity_tensor, unfold
+from stpz.tensor import _BAND, bcirc, dft3, fold, identity_tensor, idft3, unfold
 
 
 def stp_mat_blockwise(A, B):
@@ -30,6 +32,14 @@ def stp_mat_blockwise(A, B):
         for j in range(t):
             out[i * k : (i + 1) * k, j] = stp_vec(A[i, :], B[:, j])
     return out
+
+
+def t_product_one_shot(A, B):
+    """The t-product as one batched matrix product over the Fourier slices
+    and one inverse DFT of the whole product (test oracle)."""
+    Ah = np.moveaxis(dft3(A), 2, 0)
+    Bh = np.moveaxis(dft3(B), 2, 0)
+    return idft3(np.moveaxis(Ah @ Bh, 0, 2))
 
 
 class TestKronMat:
@@ -172,6 +182,40 @@ class TestTProduct:
         A, B = cplx(rng, 4, 3, n3), cplx(rng, 3, 5, n3)
         rhs = fold(bcirc(A) @ unfold(B), 4, 5, n3)
         assert rel_err(t_product(A, B), rhs) <= 1e-12
+
+    # l = _BAND // 2 + 1 leaves room for one row per band, where the bands
+    # take two.
+    @pytest.mark.parametrize("l", [1, 5, _BAND // 2 + 1])
+    @pytest.mark.parametrize("n3", [1, 2, 3, 4])
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_bands_match_the_one_shot_product(self, l, n3, real):
+        # n1 = 1, and n1 one row below, at and above a band of rows, and a
+        # lone row past two bands: every output bitwise as one batched
+        # product and one inverse DFT give it.
+        rng = np.random.default_rng(13)
+        rows = max(2, _BAND // (l * n3))
+        for n1 in sorted({1, 2, 3, rows - 1, rows, rows + 1, 2 * rows + 1}):
+            A, B = cplx(rng, n1, 3, n3), cplx(rng, 3, l, n3)
+            if real:
+                A, B = A.real, B.real
+            assert same_bytes(t_product(A, B), t_product_one_shot(A, B)), (n1, rows)
+
+    def test_traced_peak_is_the_output_plus_two_bands(self):
+        # The T-SVD decode's second product at the compare shape (512^2 RGB,
+        # rank 20): a 12 MiB output.  The one-shot product held a second
+        # 12 MiB array, the Fourier-domain product, next to it.
+        rng = np.random.default_rng(14)
+        A, B = cplx(rng, 512, 20, 3), cplx(rng, 20, 512, 3)
+        tracemalloc.start()
+        try:
+            out = t_product(A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        band = 16 * 512 * 3 * max(2, _BAND // (512 * 3))
+        bound = out.nbytes + A.nbytes + B.nbytes + 2 * band + 2**18
+        assert peak <= bound, (peak / 2**20, bound / 2**20)
+        assert peak <= out.nbytes + 3 * 2**20
 
     def test_dim_errors(self):
         with pytest.raises(DimensionError):

@@ -244,6 +244,7 @@ class TestIdentityTensor:
         I = identity_tensor(3, 4)
         assert np.array_equal(I[:, :, 0], np.eye(3))
         assert not I[:, :, 1:].any()
+        assert np.array_equal(identity_tensor(1, 2), [[[1.0, 0.0]]])
 
     def test_t_product_identity(self):
         rng = np.random.default_rng(20)
